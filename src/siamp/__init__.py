@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .amp import (AmpBlockResult, AmpState, BlockSideInfo, TrialResult,
                   amp_iterate, estimate_tau, pseudo_observations, run_block,
-                  run_trial)
+                  run_trial, run_trial_variants)
 from .denoiser import (CasePosterior, DenoiserParams, SideInfo,
                        case_log_likelihoods, case_posteriors, denoise_nosi,
                        denoise_rows, denoise_si, denoiser_derivative_avg,

@@ -32,6 +32,7 @@ __all__ = [
     "amp_iterate",
     "run_block",
     "run_trial",
+    "run_trial_variants",
 ]
 
 
@@ -90,13 +91,15 @@ def pseudo_observations(x: np.ndarray, residual: np.ndarray,
 
     The pilot (not the residual) carries the conjugate: only this reading
     makes the matched filter center on x_n rather than its conjugate, so
-    that the residual recursion cancels the signal component.
+    that the residual recursion cancels the signal component.  S^H r is
+    evaluated as conj(S^T conj(r)), which gives the same bits without
+    building a conjugate copy of S on every call.
     """
     if pilots.shape[0] != residual.shape[0] or pilots.shape[1] != x.shape[0]:
         raise DimensionMismatch(
             f"pilots {pilots.shape} incompatible with estimate {x.shape} "
             f"and residual {residual.shape}")
-    return x + np.conj(pilots).T @ residual
+    return x + np.conj(pilots.T @ np.conj(residual))
 
 
 def estimate_tau(residual: np.ndarray) -> float:
@@ -184,35 +187,49 @@ class TrialResult:
     reports: list[detector.DetectionReport] = field(default_factory=list)
 
 
-def run_trial(config: model.ScenarioConfig, variant: str = "si",
-              l: float = 0.0) -> TrialResult:
-    """Generate a scenario and track it block by block.
+def run_trial_variants(config: model.ScenarioConfig, variants,
+                       l: float = 0.0) -> list[TrialResult]:
+    """Generate one scenario and track it block by block under each variant.
 
     With variant "si" each block after the first is denoised and detected
     using the previous block's converged pseudo-observations; "nosi"
-    treats every block independently.  The scenario realization depends
-    only on the config (named substreams), so both variants see identical
-    data.
+    treats every block independently.  All variants see the same scenario
+    realization, and variants that bring the same side information to a
+    block (block 1 always, where none has any) share one estimate and one
+    detection of it.  Returns one result per variant, in order.
     """
-    if variant not in ("si", "nosi"):
-        raise ValueError(f"variant must be 'si' or 'nosi', got {variant!r}")
+    for variant in variants:
+        if variant not in ("si", "nosi"):
+            raise ValueError(f"variant must be 'si' or 'nosi', got {variant!r}")
     scenario = model.generate_scenario(config)
-    out = TrialResult(config=config, variant=variant, scenario=scenario)
-    si = None
+    outs = [TrialResult(config=config, variant=v, scenario=scenario)
+            for v in variants]
     for truth, block in zip(scenario.blocks, scenario.received):
-        result = run_block(block.received, scenario.pilots.matrix, si, config)
-        det = detector.block_detection(
-            result.pseudo_obs, result.tau_final, config.path_losses,
-            config.activity_rate, config.persistence, config.beta,
-            truth.activity,
-            prev_obs=si.pseudo_obs if si is not None else None,
-            tau_prev=si.tau_prev if si is not None else None)
-        report = detector.detect_block(det, l, x_hat=result.x_hat,
-                                       x_true=truth.effective_signal)
-        out.blocks.append(result)
-        out.side_info_used.append(si)
-        out.detections.append(det)
-        out.reports.append(report)
-        if variant == "si":
-            si = result.side_info()
-    return out
+        shared = {}  # id of the side information -> (estimate, detection, report)
+        for out in outs:
+            si = (out.blocks[-1].side_info()
+                  if out.variant == "si" and out.blocks else None)
+            if id(si) not in shared:
+                result = run_block(block.received, scenario.pilots.matrix, si,
+                                   config)
+                det = detector.block_detection(
+                    result.pseudo_obs, result.tau_final, config.path_losses,
+                    config.activity_rate, config.persistence, config.beta,
+                    truth.activity,
+                    prev_obs=si.pseudo_obs if si is not None else None,
+                    tau_prev=si.tau_prev if si is not None else None)
+                report = detector.detect_block(det, l, x_hat=result.x_hat,
+                                               x_true=truth.effective_signal)
+                shared[id(si)] = (result, det, report)
+            result, det, report = shared[id(si)]
+            out.blocks.append(result)
+            out.side_info_used.append(si)
+            out.detections.append(det)
+            out.reports.append(report)
+    return outs
+
+
+def run_trial(config: model.ScenarioConfig, variant: str = "si",
+              l: float = 0.0) -> TrialResult:
+    """`run_trial_variants` for a single variant."""
+    return run_trial_variants(config, (variant,), l)[0]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .amp import run_trial
+from .amp import run_trial_variants
 from .detector import aggregate_slot_counts, sweep_block_counts
 from .errors import InvalidConfig, ParseError, ValidationError
 from .model import ScenarioConfig, path_loss_linear
@@ -269,8 +269,7 @@ def _run_trial_counts(args):
     config = replace(spec.scenario, rng_seed=trial_seed(spec.scenario.rng_seed,
                                                         index))
     out = {}
-    for variant in spec.variants:
-        trial = run_trial(config, variant=variant)
+    for trial in run_trial_variants(config, spec.variants):
         slots = []
         for j, (det, report) in enumerate(zip(trial.detections, trial.reports)):
             fa, md, n_inact, n_act = sweep_block_counts(det, spec.l_grid)
@@ -279,7 +278,7 @@ def _run_trial_counts(args):
                 "nmse": report.metrics.nmse,
                 "tau_final": trial.blocks[j].tau_final,
             })
-        out[variant] = slots
+        out[trial.variant] = slots
     return index, out
 
 

@@ -184,9 +184,11 @@ class ScenarioRealization:
 def _complex_gaussian(rng: np.random.Generator, shape, variance) -> np.ndarray:
     """I.i.d. CN(0, variance) entries; variance may broadcast over shape."""
     scale = np.sqrt(np.asarray(variance, dtype=float) / 2.0)
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return scale * (re + 1j * im)
+    out = np.empty(shape, dtype=complex)
+    # real parts are drawn before imaginary parts
+    np.multiply(scale, rng.standard_normal(shape), out=out.real)
+    np.multiply(scale, rng.standard_normal(shape), out=out.imag)
+    return out
 
 
 def draw_pilot_matrix(pilot_length: int, num_devices: int,

@@ -4,7 +4,7 @@ from scipy import stats
 
 from siamp import (AmpState, NonFiniteState, ScenarioConfig, amp_iterate,
                    estimate_tau, generate_scenario, pseudo_observations,
-                   run_block, run_trial)
+                   run_block, run_trial, run_trial_variants)
 from siamp.amp import BlockSideInfo
 from siamp.denoiser import denoise_rows
 from siamp.streams import substream
@@ -35,9 +35,10 @@ class TestPseudoObservations:
         out = pseudo_observations(x, np.zeros((4, 2), complex), pilots)
         np.testing.assert_array_equal(out, x)
 
-    def test_matches_per_device_loop(self):
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    @pytest.mark.parametrize("l, n", [(7, 9), (9, 7)])
+    def test_matches_per_device_loop(self, l, n, m):
         rng = substream(2, "t")
-        l, n, m = 7, 9, 2
         x = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
         r = rng.standard_normal((l, m)) + 1j * rng.standard_normal((l, m))
         pilots = rng.standard_normal((l, n)) + 1j * rng.standard_normal((l, n))
@@ -234,6 +235,25 @@ class TestRunTrial:
         cfg = small_config(num_blocks=3)
         trial = run_trial(cfg, variant="nosi")
         assert all(si is None for si in trial.side_info_used)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_variants_match_separate_trials(self, m):
+        cfg = small_config(num_antennas=m, num_blocks=3)
+        variants = ("si", "nosi")
+        joint = run_trial_variants(cfg, variants)
+        assert [t.variant for t in joint] == list(variants)
+        for trial, variant in zip(joint, variants):
+            alone = run_trial(cfg, variant=variant)
+            assert len(trial.blocks) == len(alone.blocks) == 3
+            for a, b in zip(trial.blocks, alone.blocks):
+                np.testing.assert_array_equal(a.x_hat, b.x_hat)
+                np.testing.assert_array_equal(a.pseudo_obs, b.pseudo_obs)
+                np.testing.assert_array_equal(a.tau_trace, b.tau_trace)
+            for a, b in zip(trial.detections, alone.detections):
+                np.testing.assert_array_equal(a.llr, b.llr)
+            for a, b in zip(trial.reports, alone.reports):
+                np.testing.assert_array_equal(a.llr, b.llr)
+                np.testing.assert_array_equal(a.metrics.nmse, b.metrics.nmse)
 
     def test_trial_determinism(self):
         cfg = small_config(num_blocks=2)

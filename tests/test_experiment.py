@@ -6,7 +6,8 @@ import pytest
 
 from siamp import (ParseError, ValidationError, emit_csv, parse_config,
                    run_experiment, spec_from_options)
-from siamp.experiment import (annulus_gains, default_l_grid,
+from siamp import amp, model
+from siamp.experiment import (_run_trial_counts, annulus_gains, default_l_grid,
                               denoiser_response_curve,
                               detector_threshold_curve, read_roc_csv,
                               trial_seed)
@@ -139,6 +140,26 @@ class TestRunExperiment:
         for a, b in zip(both.curves["nosi"], only.curves["nosi"]):
             np.testing.assert_array_equal(a.p_fa, b.p_fa)
             np.testing.assert_array_equal(a.p_md, b.p_md)
+
+    def test_one_scenario_and_shared_first_block_per_trial(self, monkeypatch):
+        calls = {"generate_scenario": 0, "run_block": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(model, "generate_scenario")
+        counted(amp, "run_block")
+        spec = spec_from_options(desk_options(num_blocks="3"))
+        index, out = _run_trial_counts((spec, 0))
+        assert index == 0 and set(out) == set(spec.variants)
+        assert calls["generate_scenario"] == 1
+        # block 1 has no side information under either variant
+        assert calls["run_block"] == 3 * len(spec.variants) - 1
 
     def test_trial_seeds_distinct_and_stable(self):
         seeds = [trial_seed(5, i) for i in range(100)]
