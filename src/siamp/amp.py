@@ -187,49 +187,66 @@ class TrialResult:
     reports: list[detector.DetectionReport] = field(default_factory=list)
 
 
-def run_trial_variants(config: model.ScenarioConfig, variants,
-                       l: float = 0.0) -> list[TrialResult]:
-    """Generate one scenario and track it block by block under each variant.
-
-    With variant "si" each block after the first is denoised and detected
-    using the previous block's converged pseudo-observations; "nosi"
-    treats every block independently.  All variants see the same scenario
-    realization, and variants that bring the same side information to a
-    block (block 1 always, where none has any) share one estimate and one
-    detection of it.  Returns one result per variant, in order.
-    """
-    for variant in variants:
-        if variant not in ("si", "nosi"):
-            raise ValueError(f"variant must be 'si' or 'nosi', got {variant!r}")
-    scenario = model.generate_scenario(config)
-    outs = [TrialResult(config=config, variant=v, scenario=scenario)
-            for v in variants]
-    for truth, block in zip(scenario.blocks, scenario.received):
-        shared = {}  # id of the side information -> (estimate, detection, report)
-        for out in outs:
-            si = (out.blocks[-1].side_info()
-                  if out.variant == "si" and out.blocks else None)
-            if id(si) not in shared:
-                result = run_block(block.received, scenario.pilots.matrix, si,
-                                   config)
-                det = detector.block_detection(
-                    result.pseudo_obs, result.tau_final, config.path_losses,
-                    config.activity_rate, config.persistence, config.beta,
-                    truth.activity,
-                    prev_obs=si.pseudo_obs if si is not None else None,
-                    tau_prev=si.tau_prev if si is not None else None)
-                report = detector.detect_block(det, l, x_hat=result.x_hat,
-                                               x_true=truth.effective_signal)
-                shared[id(si)] = (result, det, report)
-            result, det, report = shared[id(si)]
-            out.blocks.append(result)
-            out.side_info_used.append(si)
-            out.detections.append(det)
-            out.reports.append(report)
-    return outs
+def _track_block(config: model.ScenarioConfig,
+                 scenario: model.ScenarioRealization, j: int,
+                 si: BlockSideInfo | None, l: float):
+    """Estimate block j of the scenario given side information si, detect
+    its activity and score it; returns (estimate, detection, report)."""
+    truth, block = scenario.blocks[j], scenario.received[j]
+    result = run_block(block.received, scenario.pilots.matrix, si, config)
+    det = detector.block_detection(
+        result.pseudo_obs, result.tau_final, config.path_losses,
+        config.activity_rate, config.persistence, config.beta,
+        truth.activity,
+        prev_obs=si.pseudo_obs if si is not None else None,
+        tau_prev=si.tau_prev if si is not None else None)
+    report = detector.detect_block(det, l, x_hat=result.x_hat,
+                                   x_true=truth.effective_signal)
+    return result, det, report
 
 
 def run_trial(config: model.ScenarioConfig, variant: str = "si",
-              l: float = 0.0) -> TrialResult:
-    """`run_trial_variants` for a single variant."""
-    return run_trial_variants(config, (variant,), l)[0]
+              l: float = 0.0, *, scenario=None,
+              first_block=None) -> TrialResult:
+    """Generate a scenario and track it block by block.
+
+    With variant "si" each block after the first is denoised and detected
+    using the previous block's converged pseudo-observations; "nosi"
+    treats every block independently.  The scenario realization depends
+    only on the config (named substreams), so both variants see identical
+    data.  `run_trial_variants` passes in the scenario and the
+    (estimate, detection, report) of block 1 that its variants share;
+    without them both are computed here.
+    """
+    if variant not in ("si", "nosi"):
+        raise ValueError(f"variant must be 'si' or 'nosi', got {variant!r}")
+    if scenario is None:
+        scenario = model.generate_scenario(config)
+    out = TrialResult(config=config, variant=variant, scenario=scenario)
+    si = None
+    for j in range(len(scenario.blocks)):
+        if j == 0 and first_block is not None:
+            result, det, report = first_block
+        else:
+            result, det, report = _track_block(config, scenario, j, si, l)
+        out.blocks.append(result)
+        out.side_info_used.append(si)
+        out.detections.append(det)
+        out.reports.append(report)
+        if variant == "si":
+            si = result.side_info()
+    return out
+
+
+def run_trial_variants(config: model.ScenarioConfig, variants,
+                       l: float = 0.0) -> list[TrialResult]:
+    """`run_trial` under each variant on one scenario realization.
+
+    Block 1 has no side information under any variant, so it is estimated
+    and detected once and shared.  Returns one result per variant, in
+    order, each equal to a separate `run_trial(config, variant, l)`.
+    """
+    scenario = model.generate_scenario(config)
+    first_block = _track_block(config, scenario, 0, None, l)
+    return [run_trial(config, variant, l, scenario=scenario,
+                      first_block=first_block) for variant in variants]

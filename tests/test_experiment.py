@@ -142,7 +142,7 @@ class TestRunExperiment:
             np.testing.assert_array_equal(a.p_md, b.p_md)
 
     def test_one_scenario_and_shared_first_block_per_trial(self, monkeypatch):
-        calls = {"generate_scenario": 0, "run_block": 0}
+        calls = {"generate_scenario": 0, "run_trial": 0, "run_block": 0}
 
         def counted(module, name):
             fn = getattr(module, name)
@@ -153,11 +153,13 @@ class TestRunExperiment:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(model, "generate_scenario")
+        counted(amp, "run_trial")
         counted(amp, "run_block")
         spec = spec_from_options(desk_options(num_blocks="3"))
         index, out = _run_trial_counts((spec, 0))
         assert index == 0 and set(out) == set(spec.variants)
         assert calls["generate_scenario"] == 1
+        assert calls["run_trial"] == len(spec.variants)
         # block 1 has no side information under either variant
         assert calls["run_block"] == 3 * len(spec.variants) - 1
 
