@@ -8,18 +8,16 @@ a Monte Carlo experiment harness.
 
 __version__ = "0.1.0"
 
-from .amp import (AmpBlockResult, AmpState, BlockSideInfo, TrialResult,
-                  amp_iterate, estimate_tau, pseudo_observations, run_block,
-                  run_trial, run_trial_variants)
+from .amp import (AmpBlockResult, AmpState, TrialResult, amp_iterate,
+                  estimate_tau, pseudo_observations, run_block, run_trial,
+                  run_trial_variants)
 from .denoiser import (CasePosterior, DenoiserParams, SideInfo,
-                       case_log_likelihoods, case_posteriors, denoise_nosi,
-                       denoise_rows, denoise_si, denoiser_derivative_avg,
-                       log_mu, log_si_weight, oracle_posterior_mean, si_weight)
-from .detector import (BlockDetection, DetectionDecision, DetectionMetrics,
-                       DetectionReport, RocCurve, block_detection,
-                       compute_metrics, decide, detect_block,
-                       llr_appendix_oracle, llr_value, roc_sweep,
-                       sweep_block_counts, threshold_nosi, threshold_si)
+                       case_log_likelihoods, case_posteriors, denoise_rows,
+                       draw_case_pair, log_odds_terms, oracle_posterior_mean)
+from .detector import (BlockDetection, DetectionMetrics, DetectionReport,
+                       RocCurve, aggregate_slot_counts, block_detection,
+                       compute_metrics, detect_block, llr_appendix_oracle,
+                       sweep_block_counts)
 from .errors import (DimensionMismatch, InvalidConfig, NonFiniteState,
                      ParseError, SiAmpError, ValidationError)
 from .experiment import (AggregateResult, ExperimentSpec, annulus_gains,

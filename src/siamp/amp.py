@@ -25,7 +25,6 @@ TAU_FLOOR_FACTOR = 1e-12
 __all__ = [
     "AmpState",
     "AmpBlockResult",
-    "BlockSideInfo",
     "TrialResult",
     "pseudo_observations",
     "estimate_tau",
@@ -34,24 +33,6 @@ __all__ = [
     "run_trial",
     "run_trial_variants",
 ]
-
-
-@dataclass(frozen=True)
-class BlockSideInfo:
-    """Previous block's converged pseudo-observations for all devices."""
-
-    pseudo_obs: np.ndarray  # (N, M) complex
-    tau_prev: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.tau_prev) or self.tau_prev <= 0.0:
-            raise NonFiniteState(f"side-information tau must be positive, "
-                                 f"got {self.tau_prev}")
-        if not np.all(np.isfinite(self.pseudo_obs)):
-            raise NonFiniteState("side-information matrix has non-finite entries")
-
-    def device(self, n: int) -> SideInfo:
-        return SideInfo(pseudo_obs=self.pseudo_obs[n], tau_prev=self.tau_prev)
 
 
 @dataclass
@@ -81,8 +62,8 @@ class AmpBlockResult:
     def tau_final(self) -> float:
         return float(self.tau_trace[-1])
 
-    def side_info(self) -> BlockSideInfo:
-        return BlockSideInfo(pseudo_obs=self.pseudo_obs, tau_prev=self.tau_final)
+    def side_info(self) -> SideInfo:
+        return SideInfo(pseudo_obs=self.pseudo_obs, tau_prev=self.tau_final)
 
 
 def pseudo_observations(x: np.ndarray, residual: np.ndarray,
@@ -113,7 +94,7 @@ def _tau_floor(config: model.ScenarioConfig) -> float:
 
 
 def amp_iterate(state: AmpState, y: np.ndarray, pilots: np.ndarray,
-                si: BlockSideInfo | None, config: model.ScenarioConfig,
+                si: SideInfo | None, config: model.ScenarioConfig,
                 denoiser_fn=None) -> AmpState:
     """One estimator update followed by the corrected residual update.
 
@@ -126,12 +107,9 @@ def amp_iterate(state: AmpState, y: np.ndarray, pilots: np.ndarray,
     if denoiser_fn is not None:
         x_next, deriv = denoiser_fn(x_tilde)
     else:
-        prev = si.pseudo_obs if si is not None else None
-        tau_prev = si.tau_prev if si is not None else None
         x_next, deriv = denoise_rows(x_tilde, config.path_losses, state.tau,
                                      config.activity_rate, config.persistence,
-                                     config.beta, prev_rows=prev,
-                                     tau_prev=tau_prev)
+                                     config.beta, si)
     # single correction scalar: population average of the per-device
     # entrywise-averaged derivatives
     onsager = float(np.mean(deriv))
@@ -144,7 +122,7 @@ def amp_iterate(state: AmpState, y: np.ndarray, pilots: np.ndarray,
     return AmpState(x=x_next, residual=residual, tau=tau, t=state.t + 1)
 
 
-def run_block(y: np.ndarray, pilots: np.ndarray, si: BlockSideInfo | None,
+def run_block(y: np.ndarray, pilots: np.ndarray, si: SideInfo | None,
               config: model.ScenarioConfig, denoiser_fn=None) -> AmpBlockResult:
     """Iterate one block to convergence from x=0, residual=y."""
     n, m = config.num_devices, config.num_antennas
@@ -182,14 +160,14 @@ class TrialResult:
     variant: str
     scenario: model.ScenarioRealization
     blocks: list[AmpBlockResult] = field(default_factory=list)
-    side_info_used: list[BlockSideInfo | None] = field(default_factory=list)
+    side_info_used: list[SideInfo | None] = field(default_factory=list)
     detections: list[detector.BlockDetection] = field(default_factory=list)
     reports: list[detector.DetectionReport] = field(default_factory=list)
 
 
 def _track_block(config: model.ScenarioConfig,
                  scenario: model.ScenarioRealization, j: int,
-                 si: BlockSideInfo | None, l: float):
+                 si: SideInfo | None, l: float):
     """Estimate block j of the scenario given side information si, detect
     its activity and score it; returns (estimate, detection, report)."""
     truth, block = scenario.blocks[j], scenario.received[j]
@@ -197,9 +175,7 @@ def _track_block(config: model.ScenarioConfig,
     det = detector.block_detection(
         result.pseudo_obs, result.tau_final, config.path_losses,
         config.activity_rate, config.persistence, config.beta,
-        truth.activity,
-        prev_obs=si.pseudo_obs if si is not None else None,
-        tau_prev=si.tau_prev if si is not None else None)
+        truth.activity, si)
     report = detector.detect_block(det, l, x_hat=result.x_hat,
                                    x_true=truth.effective_signal)
     return result, det, report

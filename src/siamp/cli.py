@@ -21,7 +21,8 @@ import sys
 import numpy as np
 
 from .errors import SiAmpError
-from .experiment import (_write_csv, denoiser_response_curve,
+from .experiment import (_write_csv, _write_roc_csv, _write_se_trace_csv,
+                         chained_se_traces, denoiser_response_curve,
                          detector_threshold_curve, emit_csv,
                          read_config_file, run_experiment, spec_from_options)
 from .model import generate_scenario, dump_trace_csv
@@ -83,32 +84,19 @@ def _cmd_roc(args) -> int:
     result = run_experiment(spec)
     out_dir = spec.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
-    rows = []
-    for variant in spec.variants:
-        for j, curve in enumerate(result.curves[variant]):
-            for k, l in enumerate(curve.l_grid):
-                rows.append((j + 1, variant, l, curve.p_fa[k], curve.p_md[k],
-                             curve.num_trials, curve.se_p_fa[k],
-                             curve.se_p_md[k]))
     path = os.path.join(out_dir, "roc.csv")
-    _write_csv(path, ["slot_j", "variant", "l", "P_FA", "P_MD", "trials",
-                      "se_P_FA", "se_P_MD"], rows)
+    _write_roc_csv(path, spec.variants, result.curves)
     print(f"roc: {path}")
     return 0
 
 
 def _cmd_se_trace(args) -> int:
-    from .experiment import chained_se_traces
     spec = _load_spec(args)
     out_dir = spec.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
-    rows = []
-    for variant in spec.variants:
-        for j, trace in enumerate(chained_se_traces(spec, variant)):
-            for step, (tau_sq, err) in enumerate(zip(trace.tau_sq, trace.stderr)):
-                rows.append((variant, j + 1, step, tau_sq, err))
     path = os.path.join(out_dir, "se_trace.csv")
-    _write_csv(path, ["variant", "slot_j", "step", "tau_sq", "stderr"], rows)
+    _write_se_trace_csv(path, spec.variants,
+                        {v: chained_se_traces(spec, v) for v in spec.variants})
     print(f"se_trace: {path}")
     return 0
 
@@ -166,9 +154,9 @@ def _cmd_amp_trace(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    from .denoiser import (DenoiserParams, SideInfo, denoise_si,
+    from .denoiser import (DenoiserParams, denoise_rows, draw_case_pair,
                            oracle_posterior_mean)
-    from .detector import llr_appendix_oracle, llr_value, threshold_si
+    from .detector import block_detection, detect_block, llr_appendix_oracle
     from .model import beta_from
 
     rng = substream(args.seed if args.seed is not None else 0, "oracle-check")
@@ -185,26 +173,20 @@ def _cmd_oracle_check(args) -> int:
         tau_prev = tau * float(rng.uniform(0.5, 2.0))
         params = DenoiserParams(gamma=gamma, tau=tau, lam=lam, alpha=alpha,
                                 beta=beta, num_antennas=m)
-        case = rng.choice(4, p=[alpha * lam, (1 - alpha) * lam,
-                                beta * (1 - lam), (1 - beta) * (1 - lam)])
-        var_now = gamma + tau ** 2 if case in (0, 2) else tau ** 2
-        var_prev = gamma + tau_prev ** 2 if case in (0, 1) else tau_prev ** 2
-        draw = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
-        x_t = np.sqrt(var_now / 2) * draw[0]
-        si = SideInfo(pseudo_obs=np.sqrt(var_prev / 2) * draw[1],
-                      tau_prev=tau_prev)
-        ours = denoise_si(x_t, si, params)
+        x_t, si = draw_case_pair(rng, params, tau_prev)
+        ours = denoise_rows(x_t[None, :], gamma, tau, lam, alpha, beta, si)[0][0]
         ref = oracle_posterior_mean(x_t, si, params)
         scale = max(float(np.linalg.norm(ref)), 1e-300)
         max_denoise_err = max(max_denoise_err,
                               float(np.linalg.norm(ours - ref)) / scale)
-        llr = llr_value(x_t, si, params)
+        det = block_detection(x_t[None, :], tau, gamma, lam, alpha, beta,
+                              np.zeros(1, dtype=bool), si)
+        llr = float(det.llr[0])
         llr_ref = llr_appendix_oracle(x_t, si, params)
         max_llr_err = max(max_llr_err, abs(llr - llr_ref) / max(abs(llr_ref), 1.0))
         l = float(rng.uniform(-10, 10))
-        energy = float(np.sum(np.abs(x_t) ** 2))
         if abs(llr - l) > 1e-9:
-            if (energy > threshold_si(l, si, params)) != (llr > l):
+            if bool(detect_block(det, l).decisions[0]) != (llr > l):
                 disagreements += 1
     print(f"denoiser oracle: max relative error {max_denoise_err:.3e} "
           f"(tolerance 1e-9)")

@@ -3,14 +3,14 @@
 The denoiser shrinks each device's pseudo-observation toward zero by a
 data-dependent scalar.  With side information (the previous block's
 converged pseudo-observation and its noise level) the shrinkage is biased
-by how active the device looked one block earlier.  Everything runs in
-the log domain: the likelihood factor mu overflows double precision
-already at moderate antenna counts and SNRs.
+by how active the device looked one block earlier.  The shrinkage and the
+activity detector's likelihood-ratio test both depend on the data through
+one posterior log-odds, whose terms `log_odds_terms` computes for both.
 
 `oracle_posterior_mean` is an independent implementation of the same
 posterior mean built directly from the four-case Gaussian-mixture
 decomposition; it exists to cross-check the closed form and shares no
-helpers with it.
+helpers with it.  `draw_case_pair` samples the inputs of such checks.
 """
 
 from dataclasses import dataclass
@@ -24,16 +24,12 @@ __all__ = [
     "DenoiserParams",
     "SideInfo",
     "CasePosterior",
-    "log_mu",
-    "si_weight",
-    "log_si_weight",
-    "denoise_si",
-    "denoise_nosi",
-    "denoiser_derivative_avg",
+    "log_odds_terms",
+    "denoise_rows",
     "case_log_likelihoods",
     "case_posteriors",
     "oracle_posterior_mean",
-    "denoise_rows",
+    "draw_case_pair",
 ]
 
 
@@ -59,17 +55,23 @@ class DenoiserParams:
 
 @dataclass(frozen=True)
 class SideInfo:
-    """Previous block's converged pseudo-observation for one device."""
+    """Previous block's converged pseudo-observations and their noise level,
+    for one device ((M,) row) or for all devices ((N, M) rows)."""
 
-    pseudo_obs: np.ndarray  # (M,) complex
+    pseudo_obs: np.ndarray  # (M,) or (N, M) complex
     tau_prev: float
 
     def __post_init__(self):
         # A degenerate side-information state indicates an upstream bug;
         # reject it instead of silently falling back to the no-SI path.
+        obs = np.asarray(self.pseudo_obs)
+        object.__setattr__(self, "pseudo_obs", obs)
         if not np.isfinite(self.tau_prev) or self.tau_prev <= 0.0:
             raise InvalidConfig(f"tau_prev must be positive, got {self.tau_prev}")
-        if not np.all(np.isfinite(self.pseudo_obs)):
+        if obs.ndim not in (1, 2):
+            raise InvalidConfig(f"side information must be (M,) or (N, M) rows, "
+                                f"got shape {obs.shape}")
+        if not np.all(np.isfinite(obs)):
             raise InvalidConfig("side-information vector has non-finite entries")
 
 
@@ -89,77 +91,44 @@ def _row_norm_sq(x: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(x) ** 2, axis=-1)
 
 
-def _log_mu_from_norm(norm_sq, gamma, tau, num_antennas):
-    """log mu = M*log((tau^2+gamma)/tau^2) - Delta*||x||^2, vectorized."""
-    tau_sq = tau * tau
-    delta = 1.0 / tau_sq - 1.0 / (tau_sq + gamma)
-    return num_antennas * np.log((tau_sq + gamma) / tau_sq) - delta * norm_sq
-
-
 def _log_or_neg_inf(p) -> float:
     return float(np.log(p)) if p > 0.0 else -np.inf
 
 
-def _log_si_weight_from_norm(prev_norm_sq, gamma, tau_prev, alpha, beta,
-                             num_antennas):
-    """log of (beta+(1-beta)*mu_prev)/(alpha+(1-alpha)*mu_prev), stable."""
-    log_mu_prev = _log_mu_from_norm(prev_norm_sq, gamma, tau_prev, num_antennas)
-    num = np.logaddexp(_log_or_neg_inf(beta), _log_or_neg_inf(1.0 - beta) + log_mu_prev)
-    den = np.logaddexp(_log_or_neg_inf(alpha), _log_or_neg_inf(1.0 - alpha) + log_mu_prev)
-    return num - den
+def log_odds_terms(gamma, tau: float, alpha: float, beta: float,
+                   num_antennas: int, si: SideInfo | None = None):
+    """The three terms of the posterior activity log-odds, vectorized.
 
-
-def log_mu(x_tilde: np.ndarray, params: DenoiserParams) -> float:
-    """Log of the inactive/active likelihood factor at a pseudo-observation.
-
-    mu itself may overflow double precision for large gamma/tau^2 and M;
-    callers must stay in the log domain.
-    """
-    return float(_log_mu_from_norm(_row_norm_sq(np.asarray(x_tilde)),
-                                   params.gamma, params.tau, params.num_antennas))
-
-
-def log_si_weight(si: SideInfo, params: DenoiserParams) -> float:
-    """Log of the side-information prior-odds correction factor."""
-    prev_norm_sq = _row_norm_sq(np.asarray(si.pseudo_obs))
-    return float(_log_si_weight_from_norm(prev_norm_sq, params.gamma, si.tau_prev,
-                                          params.alpha, params.beta,
-                                          params.num_antennas))
-
-
-def si_weight(si: SideInfo, params: DenoiserParams) -> float:
-    """The factor (beta+(1-beta)*mu_prev)/(alpha+(1-alpha)*mu_prev).
-
-    Tends to (1-beta)/(1-alpha) when the previous-block evidence is weak
+    Returns (delta, log_gain, si_term) with delta = 1/tau^2 - 1/(tau^2+gamma),
+    log_gain = M*log((tau^2+gamma)/tau^2) and si_term the log of the
+    side-information correction (beta+(1-beta)*mu_prev)/(alpha+(1-alpha)*mu_prev),
+    or 0.0 without side information.  For an observation of squared norm E
+    the log of the inactive/active likelihood factor mu is log_gain - delta*E;
+    the LLR of "active now" is delta*E - (log_gain + si_term).  The SI factor
+    tends to (1-beta)/(1-alpha) when the previous-block evidence is weak
     (mu_prev large) and to beta/alpha when it strongly indicates activity
-    (mu_prev -> 0).
-    """
-    return float(np.exp(log_si_weight(si, params)))
-
-
-def _shrinkage_terms(norm_sq, gamma, tau, lam, alpha, beta, num_antennas,
-                     prev_norm_sq=None, tau_prev=None):
-    """Common core: linear-MMSE gain c, log-odds exponent q, Delta.
-
-    The denoiser output is c*x/(1+exp(q)); q collects the prior odds, the
-    current-block likelihood factor and (when present) the SI correction.
+    (mu_prev -> 0).  Everything stays in the log domain: mu itself overflows
+    double precision already at moderate antenna counts and SNRs.
     """
     tau_sq = tau * tau
-    c = gamma / (gamma + tau_sq)
     delta = 1.0 / tau_sq - 1.0 / (tau_sq + gamma)
-    q = (_log_or_neg_inf((1.0 - lam) / lam)
-         + _log_mu_from_norm(norm_sq, gamma, tau, num_antennas))
-    if prev_norm_sq is not None:
-        q = q + _log_si_weight_from_norm(prev_norm_sq, gamma, tau_prev,
-                                         alpha, beta, num_antennas)
-    return c, q, delta
+    log_gain = num_antennas * np.log((tau_sq + gamma) / tau_sq)
+    si_term = 0.0
+    if si is not None:
+        delta_prev, log_gain_prev, _ = log_odds_terms(gamma, si.tau_prev, alpha,
+                                                      beta, num_antennas)
+        log_mu_prev = log_gain_prev - delta_prev * _row_norm_sq(si.pseudo_obs)
+        num = np.logaddexp(_log_or_neg_inf(beta),
+                           _log_or_neg_inf(1.0 - beta) + log_mu_prev)
+        den = np.logaddexp(_log_or_neg_inf(alpha),
+                           _log_or_neg_inf(1.0 - alpha) + log_mu_prev)
+        si_term = num - den
+    return delta, log_gain, si_term
 
 
 def denoise_rows(x_rows: np.ndarray, gamma, tau: float, lam: float,
-                 alpha: float, beta: float,
-                 prev_rows: np.ndarray | None = None,
-                 tau_prev: float | None = None):
-    """Vectorized denoiser over device rows.
+                 alpha: float, beta: float, si: SideInfo | None = None):
+    """Vectorized MMSE denoiser over device rows.
 
     Parameters
     ----------
@@ -167,25 +136,28 @@ def denoise_rows(x_rows: np.ndarray, gamma, tau: float, lam: float,
     gamma : scalar or (N,) per-device channel power gains.
     tau : current pseudo-noise standard deviation (shared by all devices).
     lam, alpha, beta : activity-model probabilities.
-    prev_rows, tau_prev : previous-block pseudo-observations and their
+    si : previous-block pseudo-observations ((M,) or (N, M)) and their
         noise level; ``None`` selects the no-SI denoiser.
 
     Returns
     -------
-    denoised : (N, M) complex estimates.
+    denoised : (N, M) complex estimates c*x/(1+exp(q)), where c is the
+        linear-MMSE gain and q the log-odds of "inactive now".
     deriv_avg : (N,) per-device entrywise-averaged derivatives of the
-        denoiser with respect to its observation (real-valued), used for
-        the residual correction term.
+        denoiser with respect to its observation (Wirtinger convention,
+        real-valued), used for the residual correction term.
     """
     x_rows = np.asarray(x_rows)
     num_antennas = x_rows.shape[-1]
     gamma = np.asarray(gamma, dtype=float)
     norm_sq = _row_norm_sq(x_rows)
-    prev_norm_sq = None
-    if prev_rows is not None:
-        prev_norm_sq = _row_norm_sq(np.asarray(prev_rows))
-    c, q, delta = _shrinkage_terms(norm_sq, gamma, tau, lam, alpha, beta,
-                                   num_antennas, prev_norm_sq, tau_prev)
+    delta, log_gain, si_term = log_odds_terms(gamma, tau, alpha, beta,
+                                              num_antennas, si)
+    c = gamma / (gamma + tau * tau)
+    # q = log((1-lam)/lam) - LLR; other groupings of these sums round
+    # differently and change the emitted CSV bytes
+    q = (_log_or_neg_inf((1.0 - lam) / lam)
+         + (log_gain - delta * norm_sq)) + si_term
     with np.errstate(over="ignore"):
         gain = c / (1.0 + np.exp(q))
     # Wirtinger derivative of gain(||x||^2)*x averaged over entries:
@@ -194,47 +166,6 @@ def denoise_rows(x_rows: np.ndarray, gamma, tau: float, lam: float,
     one_minus_g = expit(q)
     deriv_avg = c * g * (1.0 + delta * (norm_sq / num_antennas) * one_minus_g)
     return np.atleast_1d(gain)[..., None] * x_rows, np.atleast_1d(deriv_avg)
-
-
-def denoise_si(x_tilde: np.ndarray, si: SideInfo | None,
-               params: DenoiserParams) -> np.ndarray:
-    """SI-aided MMSE denoiser for one device; falls back to no-SI when
-    ``si`` is None (first coherence block)."""
-    if si is None:
-        return denoise_nosi(x_tilde, params)
-    x = np.asarray(x_tilde)
-    out, _ = denoise_rows(x[None, :], params.gamma, params.tau, params.lam,
-                          params.alpha, params.beta,
-                          prev_rows=np.asarray(si.pseudo_obs)[None, :],
-                          tau_prev=si.tau_prev)
-    return out[0]
-
-
-def denoise_nosi(x_tilde: np.ndarray, params: DenoiserParams) -> np.ndarray:
-    """MMSE denoiser ignoring temporal correlation (single-block prior)."""
-    x = np.asarray(x_tilde)
-    out, _ = denoise_rows(x[None, :], params.gamma, params.tau, params.lam,
-                          params.alpha, params.beta)
-    return out[0]
-
-
-def denoiser_derivative_avg(x_tilde: np.ndarray, si: SideInfo | None,
-                            params: DenoiserParams) -> float:
-    """Entrywise average of the denoiser's derivative at ``x_tilde``.
-
-    Uses the Wirtinger convention (derivative in the observation with its
-    conjugate held fixed), under which the average is real.
-    """
-    x = np.asarray(x_tilde)
-    if si is None:
-        _, d = denoise_rows(x[None, :], params.gamma, params.tau, params.lam,
-                            params.alpha, params.beta)
-    else:
-        _, d = denoise_rows(x[None, :], params.gamma, params.tau, params.lam,
-                            params.alpha, params.beta,
-                            prev_rows=np.asarray(si.pseudo_obs)[None, :],
-                            tau_prev=si.tau_prev)
-    return float(d[0])
 
 
 def _log_cgauss(x: np.ndarray, variance: float, num_antennas: int) -> float:
@@ -291,3 +222,20 @@ def oracle_posterior_mean(x_tilde: np.ndarray, si: SideInfo,
         raise InvalidConfig("degenerate case likelihoods")
     c = params.gamma / (params.gamma + params.tau ** 2)
     return c * p_active_now * np.asarray(x_tilde)
+
+
+def draw_case_pair(rng: np.random.Generator, params: DenoiserParams,
+                   tau_prev: float):
+    """(current observation, side information) for one device, drawn from
+    the four-case two-block model: the case from its prior, then the real
+    and the imaginary parts of both observations."""
+    lam, alpha, beta = params.lam, params.alpha, params.beta
+    case = rng.choice(4, p=[alpha * lam, (1 - alpha) * lam,
+                            beta * (1 - lam), (1 - beta) * (1 - lam)])
+    m = params.num_antennas
+    var_now = params.gamma + params.tau ** 2 if case in (0, 2) else params.tau ** 2
+    var_prev = params.gamma + tau_prev ** 2 if case in (0, 1) else tau_prev ** 2
+    z = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
+    x = np.sqrt(var_now / 2) * z[0]
+    si = SideInfo(pseudo_obs=np.sqrt(var_prev / 2) * z[1], tau_prev=tau_prev)
+    return x, si

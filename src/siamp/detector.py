@@ -13,38 +13,21 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .denoiser import (DenoiserParams, SideInfo, _log_cgauss,
-                       _log_or_neg_inf, _row_norm_sq,
-                       _log_si_weight_from_norm)
+                       _log_or_neg_inf, _row_norm_sq, log_odds_terms)
 from .errors import InvalidConfig
 
 __all__ = [
-    "DetectionDecision",
     "DetectionMetrics",
     "DetectionReport",
     "BlockDetection",
-    "llr_value",
     "llr_appendix_oracle",
-    "threshold_si",
-    "threshold_nosi",
-    "decide",
     "compute_metrics",
     "block_detection",
     "detect_block",
     "sweep_block_counts",
-    "roc_sweep",
+    "aggregate_slot_counts",
     "RocCurve",
 ]
-
-
-@dataclass(frozen=True)
-class DetectionDecision:
-    """Outcome of the activity test for a single device."""
-
-    device: int
-    llr: float
-    energy: float
-    threshold: float
-    decision: bool
 
 
 @dataclass(frozen=True)
@@ -83,12 +66,6 @@ class DetectionReport:
     decisions: np.ndarray  # (N,) bool
     metrics: DetectionMetrics
 
-    def device(self, n: int) -> DetectionDecision:
-        return DetectionDecision(device=n, llr=float(self.llr[n]),
-                                 energy=float(self.energy[n]),
-                                 threshold=float(self.threshold[n]),
-                                 decision=bool(self.decisions[n]))
-
 
 @dataclass(frozen=True)
 class BlockDetection:
@@ -103,41 +80,6 @@ class BlockDetection:
     delta: np.ndarray  # (N,) precision gap, positive for gamma > 0
     offset: np.ndarray  # (N,) l-independent part of the threshold numerator
     activity: np.ndarray  # (N,) bool ground truth
-
-
-def _check_gamma_positive(gamma) -> None:
-    if not np.all(np.asarray(gamma) > 0.0):
-        raise InvalidConfig("energy thresholds require gamma > 0")
-
-
-def _threshold_terms(gamma, tau, lam, alpha, beta, num_antennas,
-                     prev_norm_sq=None, tau_prev=None):
-    """(delta, offset) arrays with threshold(l) = (l + offset)/delta."""
-    _check_gamma_positive(gamma)
-    tau_sq = tau * tau
-    delta = 1.0 / tau_sq - 1.0 / (tau_sq + gamma)
-    offset = num_antennas * np.log((tau_sq + gamma) / tau_sq)
-    if prev_norm_sq is not None:
-        offset = offset + _log_si_weight_from_norm(prev_norm_sq, gamma, tau_prev,
-                                                   alpha, beta, num_antennas)
-    return delta, np.asarray(offset, dtype=float)
-
-
-def llr_value(x_tilde: np.ndarray, si: SideInfo | None,
-              params: DenoiserParams) -> float:
-    """Log-likelihood ratio of active vs inactive for one device.
-
-    Without side information only the current-block Gaussian pdf ratio
-    remains; with it, the prior-odds correction from the previous block's
-    pseudo-observation is added.  Computed in the log domain throughout.
-    """
-    norm_sq = _row_norm_sq(np.asarray(x_tilde))
-    prev_norm_sq = None if si is None else _row_norm_sq(np.asarray(si.pseudo_obs))
-    tau_prev = None if si is None else si.tau_prev
-    delta, offset = _threshold_terms(params.gamma, params.tau, params.lam,
-                                     params.alpha, params.beta,
-                                     params.num_antennas, prev_norm_sq, tau_prev)
-    return float(delta * norm_sq - offset)
 
 
 def llr_appendix_oracle(x_tilde: np.ndarray, si: SideInfo,
@@ -165,29 +107,6 @@ def llr_appendix_oracle(x_tilde: np.ndarray, si: SideInfo,
         _log_or_neg_inf((1.0 - beta) * (1.0 - lam)) + cur_inactive + prev_inactive,
     ]) - np.log(1.0 - lam)
     return float(log_joint_active - log_joint_inactive)
-
-
-def threshold_si(l: float, si: SideInfo, params: DenoiserParams) -> float:
-    """Energy threshold equivalent to the LLR test at level `l`, with SI."""
-    prev_norm_sq = _row_norm_sq(np.asarray(si.pseudo_obs))
-    delta, offset = _threshold_terms(params.gamma, params.tau, params.lam,
-                                     params.alpha, params.beta,
-                                     params.num_antennas, prev_norm_sq,
-                                     si.tau_prev)
-    return float((l + offset) / delta)
-
-
-def threshold_nosi(l: float, params: DenoiserParams) -> float:
-    """Energy threshold of the single-block (no-SI) detector."""
-    delta, offset = _threshold_terms(params.gamma, params.tau, params.lam,
-                                     params.alpha, params.beta,
-                                     params.num_antennas)
-    return float((l + offset) / delta)
-
-
-def decide(energy: float, threshold: float) -> bool:
-    """Active iff energy strictly exceeds the threshold; ties are inactive."""
-    return bool(energy > threshold)
 
 
 def compute_metrics(decisions: np.ndarray, activity: np.ndarray,
@@ -219,18 +138,22 @@ def compute_metrics(decisions: np.ndarray, activity: np.ndarray,
 
 def block_detection(pseudo_obs: np.ndarray, tau: float, gamma, lam: float,
                     alpha: float, beta: float, activity: np.ndarray,
-                    prev_obs: np.ndarray | None = None,
-                    tau_prev: float | None = None) -> BlockDetection:
-    """Vectorized detection state for one block (all devices at once)."""
+                    si: SideInfo | None = None) -> BlockDetection:
+    """Vectorized detection state for one block (all devices at once).
+
+    The LLR of "active now" is delta*energy - offset with
+    offset = M*log((tau^2+gamma)/tau^2) + (SI correction); testing it
+    against `l` is the energy test energy > (l + offset)/delta.
+    """
+    gamma = np.asarray(gamma, dtype=float)
+    if not np.all(gamma > 0.0):
+        raise InvalidConfig("energy thresholds require gamma > 0")
     pseudo_obs = np.asarray(pseudo_obs)
-    num_antennas = pseudo_obs.shape[-1]
     energy = _row_norm_sq(pseudo_obs)
-    prev_norm_sq = None if prev_obs is None else _row_norm_sq(np.asarray(prev_obs))
-    delta, offset = _threshold_terms(np.asarray(gamma, dtype=float), tau, lam,
-                                     alpha, beta, num_antennas,
-                                     prev_norm_sq, tau_prev)
-    delta = np.broadcast_to(np.asarray(delta, dtype=float), energy.shape).copy()
-    offset = np.broadcast_to(offset, energy.shape).copy()
+    delta, log_gain, si_term = log_odds_terms(gamma, tau, alpha, beta,
+                                              pseudo_obs.shape[-1], si)
+    delta = np.broadcast_to(delta, energy.shape).copy()
+    offset = np.broadcast_to(log_gain + si_term, energy.shape).astype(float)
     llr = delta * energy - offset
     return BlockDetection(energy=energy, llr=llr, delta=delta, offset=offset,
                           activity=np.asarray(activity, dtype=bool))
@@ -239,7 +162,9 @@ def block_detection(pseudo_obs: np.ndarray, tau: float, gamma, lam: float,
 def detect_block(det: BlockDetection, l: float,
                  x_hat: np.ndarray | None = None,
                  x_true: np.ndarray | None = None) -> DetectionReport:
-    """Apply the energy test at level `l` to a prepared block."""
+    """Apply the energy test at level `l` to a prepared block: a device is
+    declared active iff its energy strictly exceeds its threshold, so ties
+    resolve inactive."""
     threshold = (l + det.offset) / det.delta
     decisions = det.energy > threshold
     metrics = compute_metrics(decisions, det.activity, x_hat, x_true)
@@ -273,46 +198,14 @@ class RocCurve:
     se_p_md: np.ndarray
     num_trials: int
 
-    def p_md_at(self, target_p_fa: float) -> tuple[float, float]:
-        """(p_md, se_p_md) at a target false-alarm rate, interpolating in l.
-
-        p_fa is non-increasing in l; interpolation is linear between the
-        bracketing grid points, with the larger of the two standard errors.
-        """
+    def l_at(self, target_p_fa: float) -> float:
+        """Threshold level `l` at which the pooled false-alarm rate equals
+        `target_p_fa`, interpolating linearly between grid points."""
         order = np.argsort(self.p_fa)
-        pfa, pmd, se = self.p_fa[order], self.p_md[order], self.se_p_md[order]
-        if target_p_fa < pfa[0] or target_p_fa > pfa[-1]:
-            raise InvalidConfig(
-                f"target p_fa={target_p_fa} outside swept range "
-                f"[{pfa[0]:.3g}, {pfa[-1]:.3g}]")
-        hi = int(np.searchsorted(pfa, target_p_fa))
-        lo = max(hi - 1, 0)
-        hi = min(hi, len(pfa) - 1)
-        if pfa[hi] == pfa[lo]:
-            w = 0.0
-        else:
-            w = (target_p_fa - pfa[lo]) / (pfa[hi] - pfa[lo])
-        return (float((1.0 - w) * pmd[lo] + w * pmd[hi]),
-                float(max(se[lo], se[hi])))
-
-
-def roc_sweep(per_trial_blocks, l_grid: np.ndarray) -> list[RocCurve]:
-    """Aggregate tradeoff curves per slot index over Monte Carlo trials.
-
-    `per_trial_blocks` is a sequence over trials, each a sequence over
-    slots of BlockDetection.  Rates are pooled device-block counts per
-    slot; standard errors come from the per-trial rate spread.  Blocks
-    whose denominator is empty are excluded from that slot's pooling.
-    """
-    l_grid = np.asarray(l_grid, dtype=float)
-    num_slots = len(per_trial_blocks[0])
-    counts = []
-    for trial in per_trial_blocks:
-        if len(trial) != num_slots:
-            raise InvalidConfig("all trials must cover the same slots")
-        counts.append([sweep_block_counts(det, l_grid) for det in trial])
-    return [aggregate_slot_counts([trial[j] for trial in counts], l_grid)
-            for j in range(num_slots)]
+        pfa_sorted = self.p_fa[order]
+        if not pfa_sorted[0] <= target_p_fa <= pfa_sorted[-1]:
+            raise InvalidConfig(f"target p_fa={target_p_fa} outside sweep")
+        return float(np.interp(target_p_fa, pfa_sorted, self.l_grid[order]))
 
 
 def aggregate_slot_counts(slot_counts, l_grid: np.ndarray) -> RocCurve:

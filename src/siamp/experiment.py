@@ -10,6 +10,7 @@ sees linear effective units.
 
 import json
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -17,7 +18,8 @@ import numpy as np
 
 from . import __version__
 from .amp import run_trial_variants
-from .detector import aggregate_slot_counts, sweep_block_counts
+from .denoiser import SideInfo, denoise_rows, log_odds_terms
+from .detector import _rate_stderr, aggregate_slot_counts, sweep_block_counts
 from .errors import InvalidConfig, ParseError, ValidationError
 from .model import ScenarioConfig, path_loss_linear
 from .state_evolution import SeParams, SeTrace, se_fixed_point
@@ -268,13 +270,16 @@ def _run_trial_counts(args):
     spec, index = args
     config = replace(spec.scenario, rng_seed=trial_seed(spec.scenario.rng_seed,
                                                         index))
+    trials = run_trial_variants(config, spec.variants)
+    # block 1 is one shared detection under every variant: sweep it once
+    first_counts = sweep_block_counts(trials[0].detections[0], spec.l_grid)
     out = {}
-    for trial in run_trial_variants(config, spec.variants):
+    for trial in trials:
         slots = []
         for j, (det, report) in enumerate(zip(trial.detections, trial.reports)):
-            fa, md, n_inact, n_act = sweep_block_counts(det, spec.l_grid)
             slots.append({
-                "counts": (fa, md, n_inact, n_act),
+                "counts": (first_counts if j == 0
+                           else sweep_block_counts(det, spec.l_grid)),
                 "nmse": report.metrics.nmse,
                 "tau_final": trial.blocks[j].tau_final,
             })
@@ -309,13 +314,7 @@ class AggregateResult:
         interpolation in l), then applied to every trial, preserving
         pairing across variants and slots.
         """
-        curve = self.curves[variant][slot]
-        order = np.argsort(curve.p_fa)
-        pfa_sorted = curve.p_fa[order]
-        l_sorted = curve.l_grid[order]
-        if not pfa_sorted[0] <= target_p_fa <= pfa_sorted[-1]:
-            raise InvalidConfig(f"target p_fa={target_p_fa} outside sweep")
-        l_star = float(np.interp(target_p_fa, pfa_sorted, l_sorted))
+        l_star = self.curves[variant][slot].l_at(target_p_fa)
         data = self.per_trial[variant]
         md = data["md"][:, slot, :]  # (trials, n_l)
         n_act = data["n_active"][:, slot].astype(float)
@@ -387,8 +386,13 @@ def run_experiment(spec: ExperimentSpec) -> AggregateResult:
             nmse_rows[row] = [trial[variant][j]["nmse"] for j in range(num_slots)]
             tau_rows[row] = [trial[variant][j]["tau_final"] for j in range(num_slots)]
         curves[variant] = per_slot_curves
-        nmse[variant] = _nan_mean_stderr(nmse_rows)
-        tau_final[variant] = _nan_mean_stderr(tau_rows)
+        with warnings.catch_warnings():
+            # a slot with no valid trial has a NaN mean
+            warnings.simplefilter("ignore", RuntimeWarning)
+            nmse[variant] = (np.nanmean(nmse_rows, axis=0),
+                             _rate_stderr(nmse_rows))
+            tau_final[variant] = (np.nanmean(tau_rows, axis=0),
+                                  _rate_stderr(tau_rows))
         per_trial[variant] = {"fa": fa, "md": md, "n_inactive": n_inact,
                               "n_active": n_act}
 
@@ -407,16 +411,6 @@ def run_experiment(spec: ExperimentSpec) -> AggregateResult:
                            tau_final=tau_final, se_traces=se_traces,
                            per_trial=per_trial, metadata=metadata,
                            failures=failures)
-
-
-def _nan_mean_stderr(rows: np.ndarray):
-    import warnings
-    valid = np.sum(~np.isnan(rows), axis=0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        mean = np.where(valid > 0, np.nanmean(rows, axis=0), np.nan)
-        sd = np.where(valid > 1, np.nanstd(rows, axis=0, ddof=1), np.nan)
-    return mean, sd / np.sqrt(np.maximum(valid, 1))
 
 
 def chained_se_traces(spec: ExperimentSpec, variant: str) -> list[SeTrace]:
@@ -454,19 +448,18 @@ def denoiser_response_curve(gamma: float, tau: float, tau_prev: float,
     prev_magnitude 0.  Only magnitudes matter: the denoiser is phase
     equivariant.
     """
-    from .denoiser import denoise_rows as _rows
     grid = np.asarray(grid, dtype=float)
     x = np.zeros((grid.size, num_antennas), dtype=complex)
     x[:, 0] = grid
     out_rows = []
-    nosi, _ = _rows(x, gamma, tau, lam, alpha, beta)
+    nosi, _ = denoise_rows(x, gamma, tau, lam, alpha, beta)
     for g, o in zip(grid, np.abs(nosi[:, 0])):
         out_rows.append(("nosi", 0.0, float(g), float(o)))
     for prev_mag in prev_magnitudes:
         prev = np.zeros((grid.size, num_antennas), dtype=complex)
         prev[:, 0] = prev_mag
-        si_out, _ = _rows(x, gamma, tau, lam, alpha, beta,
-                          prev_rows=prev, tau_prev=tau_prev)
+        si_out, _ = denoise_rows(x, gamma, tau, lam, alpha, beta,
+                                 SideInfo(pseudo_obs=prev, tau_prev=tau_prev))
         for g, o in zip(grid, np.abs(si_out[:, 0])):
             out_rows.append(("si", float(prev_mag), float(g), float(o)))
     return out_rows
@@ -479,24 +472,22 @@ def detector_threshold_curve(gamma: float, tau: float, tau_prev: float,
     """Energy threshold versus previous-block magnitude, with its limits.
 
     Returns (rows, lower_limit, upper_limit); rows are (prev_magnitude,
-    threshold_si, threshold_nosi).
+    threshold_si, threshold_nosi).  The limits are the thresholds for
+    previous-block evidence of certain activity (SI factor beta/alpha)
+    and of none ((1-beta)/(1-alpha)).
     """
-    from .denoiser import DenoiserParams, SideInfo
-    from .detector import threshold_nosi, threshold_si
-    params = DenoiserParams(gamma=gamma, tau=tau, lam=lam, alpha=alpha,
-                            beta=beta, num_antennas=num_antennas)
-    tau_sq = tau * tau
-    delta = 1.0 / tau_sq - 1.0 / (tau_sq + gamma)
-    base = l + num_antennas * np.log((tau_sq + gamma) / tau_sq)
+    prev_grid = np.asarray(prev_grid, dtype=float)
+    prev = np.zeros((prev_grid.size, num_antennas), dtype=complex)
+    prev[:, 0] = prev_grid
+    delta, log_gain, si_term = log_odds_terms(
+        gamma, tau, alpha, beta, num_antennas,
+        SideInfo(pseudo_obs=prev, tau_prev=tau_prev))
+    t_si = (l + (log_gain + si_term)) / delta
+    base = l + log_gain
+    t_nosi = base / delta
     lower = (base + np.log(beta / alpha)) / delta
     upper = (base + np.log((1.0 - beta) / (1.0 - alpha))) / delta
-    t_nosi = threshold_nosi(l, params)
-    rows = []
-    for prev_mag in np.asarray(prev_grid, dtype=float):
-        prev = np.zeros(num_antennas, dtype=complex)
-        prev[0] = prev_mag
-        si = SideInfo(pseudo_obs=prev, tau_prev=tau_prev)
-        rows.append((float(prev_mag), threshold_si(l, si, params), t_nosi))
+    rows = [(float(p), float(t), float(t_nosi)) for p, t in zip(prev_grid, t_si)]
     return rows, float(lower), float(upper)
 
 
@@ -519,6 +510,29 @@ def _write_csv(path, header, rows):
         raise OSError(f"writing {path}: {exc}") from exc
 
 
+def _write_roc_csv(path, variants, curves):
+    """roc.csv from per-variant lists of per-slot RocCurves."""
+    rows = []
+    for variant in variants:
+        for j, curve in enumerate(curves[variant]):
+            for k, l in enumerate(curve.l_grid):
+                rows.append((j + 1, variant, l, curve.p_fa[k], curve.p_md[k],
+                             curve.num_trials, curve.se_p_fa[k],
+                             curve.se_p_md[k]))
+    _write_csv(path, ["slot_j", "variant", "l", "P_FA", "P_MD", "trials",
+                      "se_P_FA", "se_P_MD"], rows)
+
+
+def _write_se_trace_csv(path, variants, se_traces):
+    """se_trace.csv from per-variant lists of per-slot SeTraces."""
+    rows = []
+    for variant in variants:
+        for j, trace in enumerate(se_traces[variant]):
+            for step, (tau_sq, err) in enumerate(zip(trace.tau_sq, trace.stderr)):
+                rows.append((variant, j + 1, step, tau_sq, err))
+    _write_csv(path, ["variant", "slot_j", "step", "tau_sq", "stderr"], rows)
+
+
 def emit_csv(result: AggregateResult, out_dir) -> dict:
     """Write ROC, NMSE and SE-trace CSVs plus a metadata JSON.
 
@@ -529,17 +543,8 @@ def emit_csv(result: AggregateResult, out_dir) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
 
-    roc_rows = []
-    for variant in result.spec.variants:
-        for j, curve in enumerate(result.curves[variant]):
-            for k, l in enumerate(curve.l_grid):
-                roc_rows.append((j + 1, variant, l, curve.p_fa[k], curve.p_md[k],
-                                 curve.num_trials, curve.se_p_fa[k],
-                                 curve.se_p_md[k]))
     paths["roc"] = os.path.join(out_dir, "roc.csv")
-    _write_csv(paths["roc"],
-               ["slot_j", "variant", "l", "P_FA", "P_MD", "trials",
-                "se_P_FA", "se_P_MD"], roc_rows)
+    _write_roc_csv(paths["roc"], result.spec.variants, result.curves)
 
     nmse_rows = []
     for variant in result.spec.variants:
@@ -553,14 +558,9 @@ def emit_csv(result: AggregateResult, out_dir) -> dict:
                ["slot_j", "variant", "nmse", "se_nmse", "tau_final",
                 "se_tau_final"], nmse_rows)
 
-    se_rows = []
-    for variant in result.spec.variants:
-        for j, trace in enumerate(result.se_traces[variant]):
-            for step, (tau_sq, err) in enumerate(zip(trace.tau_sq, trace.stderr)):
-                se_rows.append((variant, j + 1, step, tau_sq, err))
     paths["se_trace"] = os.path.join(out_dir, "se_trace.csv")
-    _write_csv(paths["se_trace"],
-               ["variant", "slot_j", "step", "tau_sq", "stderr"], se_rows)
+    _write_se_trace_csv(paths["se_trace"], result.spec.variants,
+                        result.se_traces)
 
     # response/threshold grids at the experiment's own operating point:
     # median channel gain and the converged slot-1 noise level

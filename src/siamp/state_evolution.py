@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import denoise_rows
+from .denoiser import SideInfo, denoise_rows
 from .errors import InvalidConfig
 from .model import ScenarioConfig
 from .streams import substream
@@ -126,20 +126,17 @@ def se_step(tau_sq: float, params: SeParams, variant: str,
     scale = np.sqrt(gamma)[:, None]
     x_true = np.where(active_now[:, None], scale * _complex_std_normal(rng, (s, m)), 0.0)
     x_tilde = x_true + tau * _complex_std_normal(rng, (s, m))
-    prev_obs = None
+    prev_obs = si = None
     if variant == "si":
         x_prev = np.where(active_prev[:, None],
                           scale * _complex_std_normal(rng, (s, m)), 0.0)
         prev_obs = x_prev + params.tau_prev * _complex_std_normal(rng, (s, m))
+        si = SideInfo(pseudo_obs=prev_obs, tau_prev=params.tau_prev)
     if denoiser_fn is not None:
         estimates = denoiser_fn(x_tilde, x_true, prev_obs)
-    elif variant == "si":
-        estimates, _ = denoise_rows(x_tilde, gamma, tau, params.lam,
-                                    params.alpha, params.beta,
-                                    prev_rows=prev_obs, tau_prev=params.tau_prev)
     else:
         estimates, _ = denoise_rows(x_tilde, gamma, tau, params.lam,
-                                    params.alpha, params.beta)
+                                    params.alpha, params.beta, si)
     per_sample_mse = np.sum(np.abs(estimates - x_true) ** 2, axis=-1) / m
     next_tau_sq = params.noise_variance + params.load * float(np.mean(per_sample_mse))
     stderr = params.load * float(np.std(per_sample_mse, ddof=1) / np.sqrt(s))

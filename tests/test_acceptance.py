@@ -11,12 +11,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from siamp import (DenoiserParams, ScenarioConfig, SeParams, SideInfo,
-                   beta_from, decide, denoise_si, denoiser_derivative_avg,
-                   emit_csv, generate_scenario, llr_appendix_oracle,
-                   llr_value, oracle_posterior_mean, run_block,
-                   run_experiment, se_fixed_point, spec_from_options,
-                   threshold_si)
+from siamp import (DenoiserParams, ScenarioConfig, SeParams, beta_from,
+                   block_detection, denoise_rows, detect_block,
+                   draw_case_pair, emit_csv, generate_scenario,
+                   llr_appendix_oracle, oracle_posterior_mean, run_block,
+                   run_experiment, se_fixed_point, spec_from_options)
 from siamp.experiment import (denoiser_response_curve,
                               detector_threshold_curve)
 from siamp.streams import substream
@@ -29,18 +28,18 @@ def report(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name} failed: {detail}"
 
 
-def draw_case_pair(rng, params, tau_prev):
-    """(current, previous) observations from the four-case model."""
-    lam, alpha, beta = params.lam, params.alpha, params.beta
-    case = rng.choice(4, p=[alpha * lam, (1 - alpha) * lam,
-                            beta * (1 - lam), (1 - beta) * (1 - lam)])
-    m = params.num_antennas
-    var_now = params.gamma + params.tau ** 2 if case in (0, 2) else params.tau ** 2
-    var_prev = params.gamma + tau_prev ** 2 if case in (0, 1) else tau_prev ** 2
-    z = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
-    x_t = np.sqrt(var_now / 2) * z[0]
-    si = SideInfo(pseudo_obs=np.sqrt(var_prev / 2) * z[1], tau_prev=tau_prev)
-    return x_t, si
+def denoise_one(x_t, si, params):
+    """(estimate, derivative average) of one device, as a one-row call."""
+    out, deriv = denoise_rows(x_t[None, :], params.gamma, params.tau,
+                              params.lam, params.alpha, params.beta, si)
+    return out[0], float(deriv[0])
+
+
+def detect_one(x_t, si, params):
+    """Detection state of one device, as a one-row block."""
+    return block_detection(x_t[None, :], params.tau, params.gamma, params.lam,
+                           params.alpha, params.beta, np.zeros(1, dtype=bool),
+                           si)
 
 
 def test_a1_denoiser_oracle_equivalence():
@@ -59,7 +58,7 @@ def test_a1_denoiser_oracle_equivalence():
                                         num_antennas=m)
                 x_t, si = draw_case_pair(rng, params,
                                          tau_prev=tau * rng.uniform(0.5, 2.0))
-                ours = denoise_si(x_t, si, params)
+                ours = denoise_one(x_t, si, params)[0]
                 ref = oracle_posterior_mean(x_t, si, params)
                 err = (np.linalg.norm(ours - ref)
                        / max(np.linalg.norm(ref), 1e-300))
@@ -86,15 +85,15 @@ def test_a2_detector_oracle_equivalence():
         params = DenoiserParams(gamma=ratio * tau * tau, tau=tau, lam=lam,
                                 alpha=alpha, beta=beta, num_antennas=m)
         x_t, si = draw_case_pair(rng, params, tau_prev=tau * rng.uniform(0.5, 2))
-        llr = llr_value(x_t, si, params)
+        det = detect_one(x_t, si, params)
+        llr = float(det.llr[0])
         ref = llr_appendix_oracle(x_t, si, params)
         worst_llr = max(worst_llr, abs(llr - ref) / max(abs(ref), 1.0))
         level = float(rng.uniform(-10, 10))
         if abs(llr - level) < 1e-9:
             continue
         n_checked += 1
-        energy = float(np.sum(np.abs(x_t) ** 2))
-        if decide(energy, threshold_si(level, si, params)) != (llr > level):
+        if bool(detect_block(det, level).decisions[0]) != (llr > level):
             disagreements += 1
     elapsed = time.time() - start
     report("A2 detector-oracle equivalence",
@@ -109,6 +108,11 @@ def _paired(a: np.ndarray, b: np.ndarray):
     return float(d.mean()), float(d.std(ddof=1) / np.sqrt(len(d)))
 
 
+def _pooled_p_md(curve, target_p_fa):
+    """Pooled P_MD at the level where the pooled P_FA meets the target."""
+    return float(np.interp(curve.l_at(target_p_fa), curve.l_grid, curve.p_md))
+
+
 def _slot_and_variant_checks(result, targets):
     """(slot-gain stats per target, variant-gain stats at each target)."""
     slot_gains = []
@@ -117,8 +121,8 @@ def _slot_and_variant_checks(result, targets):
         last = result.p_md_per_trial("si", result.spec.scenario.num_blocks - 1,
                                      pfa)
         mean, se = _paired(first, last)
-        pooled_first = result.curves["si"][0].p_md_at(pfa)[0]
-        pooled_last = result.curves["si"][-1].p_md_at(pfa)[0]
+        pooled_first = _pooled_p_md(result.curves["si"][0], pfa)
+        pooled_last = _pooled_p_md(result.curves["si"][-1], pfa)
         slot_gains.append((pfa, mean, se, pooled_first, pooled_last))
     variant_gains = []
     for pfa in targets:
@@ -218,7 +222,7 @@ def test_a6_reduction_identities():
     worst_case = True
     for _ in range(1000):
         x_t, si = draw_case_pair(rng, params, tau_prev=2e-6)
-        ours = denoise_si(x_t, si, params)
+        ours = denoise_one(x_t, si, params)[0]
 
         g, t2 = params.gamma, params.tau * params.tau
         delta = 1.0 / t2 - 1.0 / (t2 + g)
@@ -229,12 +233,13 @@ def test_a6_reduction_identities():
             independent = (g / (g + t2)) / (1.0 + np.exp(q)) * x_t
 
         level = float(rng.uniform(-5, 5))
-        t_ours = threshold_si(level, si, params)
+        det_report = detect_block(detect_one(x_t, si, params), level)
+        t_ours = det_report.threshold
         t_ind = (level + 1 * np.log((t2 + g) / t2)) / delta
         energy = float(norm_sq)
         same = (_ulp_equal(ours, independent)
-                and _ulp_equal(np.array([t_ours]), np.array([t_ind]))
-                and decide(energy, t_ours) == (energy > t_ind))
+                and _ulp_equal(t_ours, np.array([t_ind]))
+                and bool(det_report.decisions[0]) == (energy > t_ind))
         worst_case = worst_case and same
     report("A6 reduction identities (memoryless chain)", worst_case,
            "denoiser, threshold and decisions match the independent "
@@ -253,12 +258,12 @@ def test_a7_derivative_against_finite_differences():
         if np.linalg.norm(x_t) < 1e-3 * params.tau:
             continue
         checked += 1
-        analytic = denoiser_derivative_avg(x_t, si, params)
+        analytic = denoise_one(x_t, si, params)[1]
         total = 0.0
         for direction in (1.0, 1j):
             step = np.array([direction * h])
-            fp = denoise_si(x_t + step, si, params)[0]
-            fm = denoise_si(x_t - step, si, params)[0]
+            fp = denoise_one(x_t + step, si, params)[0][0]
+            fm = denoise_one(x_t - step, si, params)[0][0]
             d = (fp - fm) / (2 * h)
             total += 0.5 * (d if direction == 1.0 else -1j * d)
         numeric = total

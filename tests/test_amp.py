@@ -5,8 +5,7 @@ from scipy import stats
 from siamp import (AmpState, NonFiniteState, ScenarioConfig, amp_iterate,
                    estimate_tau, generate_scenario, pseudo_observations,
                    run_block, run_trial, run_trial_variants)
-from siamp.amp import BlockSideInfo
-from siamp.denoiser import denoise_rows
+from siamp.denoiser import SideInfo, denoise_rows
 from siamp.streams import substream
 
 
@@ -107,7 +106,7 @@ class TestIterate:
         scenario = generate_scenario(cfg)
         y = scenario.received[0].received
         s = scenario.pilots.matrix
-        prev = BlockSideInfo(
+        prev = SideInfo(
             pseudo_obs=(substream(4, "t").standard_normal((4, 2))
                         + 1j * substream(5, "t").standard_normal((4, 2))),
             tau_prev=0.9)

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from siamp import (DenoiserParams, InvalidConfig, SideInfo, beta_from,
-                   case_log_likelihoods, case_posteriors, denoise_nosi,
-                   denoise_rows, denoise_si, denoiser_derivative_avg, log_mu,
-                   oracle_posterior_mean, si_weight)
+                   case_log_likelihoods, case_posteriors, denoise_rows,
+                   draw_case_pair, log_odds_terms, oracle_posterior_mean)
 
 # parameter family of the response-curve examples
 FIG_FAMILY = dict(gamma=1e-8, tau=2e-6, lam=0.1, alpha=0.91, beta=0.01)
@@ -16,18 +15,25 @@ def make_params(m=1, **overrides):
     return DenoiserParams(**kw)
 
 
-def draw_instance(rng, params, tau_prev):
-    """One observation pair from the four-case generative model."""
-    lam, alpha, beta = params.lam, params.alpha, params.beta
-    case = rng.choice(4, p=[alpha * lam, (1 - alpha) * lam,
-                            beta * (1 - lam), (1 - beta) * (1 - lam)])
-    m = params.num_antennas
-    var_now = params.gamma + params.tau ** 2 if case in (0, 2) else params.tau ** 2
-    var_prev = params.gamma + tau_prev ** 2 if case in (0, 1) else tau_prev ** 2
-    z = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
-    x = np.sqrt(var_now / 2) * z[0]
-    si = SideInfo(pseudo_obs=np.sqrt(var_prev / 2) * z[1], tau_prev=tau_prev)
-    return x, si
+def denoise_one(x, si, params):
+    """(estimate, derivative average) of one device, as a one-row call."""
+    out, deriv = denoise_rows(np.asarray(x)[None, :], params.gamma, params.tau,
+                              params.lam, params.alpha, params.beta, si)
+    return out[0], deriv[0]
+
+
+def log_mu(x, params):
+    """Log of the inactive/active likelihood factor at one observation."""
+    delta, log_gain, _ = log_odds_terms(params.gamma, params.tau, params.alpha,
+                                        params.beta, params.num_antennas)
+    return log_gain - delta * np.sum(np.abs(x) ** 2)
+
+
+def si_weight(si, params):
+    """The side-information factor on the prior odds."""
+    _, _, si_term = log_odds_terms(params.gamma, params.tau, params.alpha,
+                                   params.beta, params.num_antennas, si)
+    return float(np.exp(si_term))
 
 
 class TestLogMu:
@@ -91,37 +97,50 @@ class TestSiWeight:
             SideInfo(pseudo_obs=np.array([1.0 + 0j]), tau_prev=0.0)
         with pytest.raises(InvalidConfig):
             SideInfo(pseudo_obs=np.array([np.nan + 0j]), tau_prev=1.0)
+        rows = np.ones((3, 2), dtype=complex)
+        rows[1, 0] = np.inf
+        with pytest.raises(InvalidConfig):
+            SideInfo(pseudo_obs=rows, tau_prev=1.0)
+        with pytest.raises(InvalidConfig):
+            SideInfo(pseudo_obs=np.ones((2, 2, 2), dtype=complex), tau_prev=1.0)
 
 
 class TestDenoisers:
     def test_zero_input_maps_to_zero(self):
         params = make_params(m=3)
         si = SideInfo(pseudo_obs=np.ones(3, dtype=complex), tau_prev=2e-6)
-        np.testing.assert_array_equal(denoise_si(np.zeros(3, complex), si, params),
-                                      np.zeros(3))
-        np.testing.assert_array_equal(denoise_nosi(np.zeros(3, complex), params),
-                                      np.zeros(3))
+        np.testing.assert_array_equal(denoise_one(np.zeros(3, complex), si,
+                                                  params)[0], np.zeros(3))
+        np.testing.assert_array_equal(denoise_one(np.zeros(3, complex), None,
+                                                  params)[0], np.zeros(3))
 
     def test_no_side_info_falls_back(self):
+        # si=None is the single-block denoiser, written out independently
         params = make_params()
         x = np.array([1e-6 + 2e-6j])
-        np.testing.assert_array_equal(denoise_si(x, None, params),
-                                      denoise_nosi(x, params))
+        g, t2 = params.gamma, params.tau ** 2
+        log_mu_cur = np.log((t2 + g) / t2) - (1 / t2 - 1 / (t2 + g)) * np.sum(
+            np.abs(x) ** 2)
+        expected = g / (g + t2) / (1 + (1 - params.lam) / params.lam
+                                   * np.exp(log_mu_cur)) * x
+        np.testing.assert_allclose(denoise_one(x, None, params)[0], expected,
+                                   rtol=1e-12)
 
     def test_memoryless_chain_equals_nosi_bitwise(self):
         params = make_params(alpha=0.1, beta=0.1)
         rng = np.random.default_rng(1)
         for _ in range(100):
-            x, si = draw_instance(rng, params, tau_prev=3e-6)
-            np.testing.assert_array_equal(denoise_si(x, si, params),
-                                          denoise_nosi(x, params))
+            x, si = draw_case_pair(rng, params, tau_prev=3e-6)
+            np.testing.assert_array_equal(denoise_one(x, si, params)[0],
+                                          denoise_one(x, None, params)[0])
 
     def test_dense_prior_limit_is_linear(self):
         params = make_params(lam=1.0 - 1e-15, alpha=1.0 - 1e-15,
                              beta=1.0 - 1e-15, gamma=1.0, tau=1.0)
         x = np.array([0.3 - 0.7j])
         c = 1.0 / (1.0 + 1.0)
-        np.testing.assert_allclose(denoise_nosi(x, params), c * x, rtol=1e-12)
+        np.testing.assert_allclose(denoise_one(x, None, params)[0], c * x,
+                                   rtol=1e-12)
 
     def test_matches_posterior_oracle(self):
         rng = np.random.default_rng(2)
@@ -134,8 +153,8 @@ class TestDenoisers:
             tau = float(10.0 ** rng.uniform(-6, 0))
             params = DenoiserParams(gamma=ratio * tau * tau, tau=tau, lam=lam,
                                     alpha=alpha, beta=beta, num_antennas=m)
-            x, si = draw_instance(rng, params, tau_prev=tau * rng.uniform(0.5, 2))
-            ours = denoise_si(x, si, params)
+            x, si = draw_case_pair(rng, params, tau_prev=tau * rng.uniform(0.5, 2))
+            ours = denoise_one(x, si, params)[0]
             ref = oracle_posterior_mean(x, si, params)
             err = np.linalg.norm(ours - ref) / max(np.linalg.norm(ref), 1e-300)
             worst = max(worst, err)
@@ -147,8 +166,8 @@ class TestDenoisers:
         params = make_params(m=4)
         c = params.gamma / (params.gamma + params.tau ** 2)
         for _ in range(200):
-            x, si = draw_instance(rng, params, tau_prev=2e-6)
-            out = denoise_si(x, si, params)
+            x, si = draw_case_pair(rng, params, tau_prev=2e-6)
+            out = denoise_one(x, si, params)[0]
             mask = np.abs(x) > 0
             factors = (out[mask] / x[mask]).real
             np.testing.assert_allclose(out[mask] / x[mask], factors, atol=1e-12)
@@ -163,7 +182,7 @@ class TestDenoisers:
         gains = []
         for mag in prev_mags:
             si = SideInfo(pseudo_obs=np.array([mag + 0j]), tau_prev=2e-6)
-            out = denoise_si(x, si, params)
+            out = denoise_one(x, si, params)[0]
             gains.append(np.abs(out[0] / x[0]))
         assert np.all(np.diff(gains) >= -1e-18)
 
@@ -173,9 +192,9 @@ class TestDenoisers:
         si = SideInfo(pseudo_obs=np.zeros(64, complex), tau_prev=1.0)
         for scale in (0.0, 1.0, 1e3, 1e6):
             x = np.full(64, np.sqrt(scale / 64.0), dtype=complex)
-            out = denoise_si(x, si, params)
+            out, deriv = denoise_one(x, si, params)
             assert np.all(np.isfinite(out))
-            assert np.isfinite(denoiser_derivative_avg(x, si, params))
+            assert np.isfinite(deriv)
 
 
 class TestDerivative:
@@ -188,21 +207,21 @@ class TestDerivative:
             for direction in (1.0, 1j):
                 step = np.zeros(m, complex)
                 step[k] = direction * h
-                fp = denoise_si(x + step, si, params)[k]
-                fm = denoise_si(x - step, si, params)[k]
+                fp = denoise_one(x + step, si, params)[0][k]
+                fm = denoise_one(x - step, si, params)[0][k]
                 d = (fp - fm) / (2 * h)
                 total += 0.5 * (d if direction == 1.0 else -1j * d)
         return total / m
 
     def test_zero_gain_zero_derivative(self):
         params = make_params(gamma=0.0, tau=1.0)
-        assert denoiser_derivative_avg(np.array([1.0 + 1.0j]), None, params) == 0.0
+        assert denoise_one(np.array([1.0 + 1.0j]), None, params)[1] == 0.0
 
     def test_dense_limit_slope(self):
         params = make_params(lam=1.0 - 1e-15, alpha=1 - 1e-15, beta=1 - 1e-15,
                              gamma=2.0, tau=1.0)
         c = 2.0 / 3.0
-        assert denoiser_derivative_avg(np.array([0.5 + 0.5j]), None, params) == \
+        assert denoise_one(np.array([0.5 + 0.5j]), None, params)[1] == \
             pytest.approx(c, rel=1e-12)
 
     def test_matches_finite_differences(self):
@@ -211,10 +230,10 @@ class TestDerivative:
         h = 1e-6 * params.tau
         worst = 0.0
         for _ in range(300):
-            x, si = draw_instance(rng, params, tau_prev=2e-6)
+            x, si = draw_case_pair(rng, params, tau_prev=2e-6)
             if np.linalg.norm(x) < 0.2 * params.tau:
                 continue  # oracle noise dominates at the origin
-            analytic = denoiser_derivative_avg(x, si, params)
+            analytic = denoise_one(x, si, params)[1]
             numeric = self.finite_difference(x, si, params, h)
             err = abs(analytic - numeric) / max(abs(numeric), 1e-300)
             worst = max(worst, err)
@@ -223,8 +242,10 @@ class TestDerivative:
     def test_derivative_is_real(self):
         rng = np.random.default_rng(5)
         params = make_params(m=4)
-        x, si = draw_instance(rng, params, tau_prev=2e-6)
-        assert isinstance(denoiser_derivative_avg(x, si, params), float)
+        x, si = draw_case_pair(rng, params, tau_prev=2e-6)
+        _, deriv = denoise_rows(x[None, :], params.gamma, params.tau,
+                                params.lam, params.alpha, params.beta, si)
+        assert deriv.dtype == np.float64 and deriv.shape == (1,)
 
 
 class TestCasePosterior:
@@ -248,7 +269,7 @@ class TestCasePosterior:
         rng = np.random.default_rng(6)
         params = make_params(m=2)
         for _ in range(200):
-            x, si = draw_instance(rng, params, tau_prev=2e-6)
+            x, si = draw_case_pair(rng, params, tau_prev=2e-6)
             post = case_posteriors(x, si, params).probs
             assert abs(post.sum() - 1.0) < 1e-12
             assert np.all(post >= 0.0)
@@ -259,7 +280,7 @@ class TestCasePosterior:
         rng = np.random.default_rng(7)
         params = make_params(gamma=1.0, tau=0.7, m=2)
         for _ in range(50):
-            x, si = draw_instance(rng, params, tau_prev=0.9)
+            x, si = draw_case_pair(rng, params, tau_prev=0.9)
             ll = case_log_likelihoods(x, si, params)
             total = np.exp(ll).sum()
             direct = _direct_total_density(x, si, params)
@@ -289,10 +310,11 @@ class TestBatchedRows:
         x = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
         prev = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
         out, deriv = denoise_rows(x, gammas, 0.8, 0.1, 0.46, 0.06,
-                                  prev_rows=prev, tau_prev=1.1)
+                                  SideInfo(pseudo_obs=prev, tau_prev=1.1))
         for i in range(n):
             params = DenoiserParams(gamma=gammas[i], tau=0.8, lam=0.1,
                                     alpha=0.46, beta=0.06, num_antennas=m)
             si = SideInfo(pseudo_obs=prev[i], tau_prev=1.1)
-            np.testing.assert_array_equal(out[i], denoise_si(x[i], si, params))
-            assert deriv[i] == denoiser_derivative_avg(x[i], si, params)
+            out_i, deriv_i = denoise_one(x[i], si, params)
+            np.testing.assert_array_equal(out[i], out_i)
+            assert deriv[i] == deriv_i

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from siamp import (DenoiserParams, InvalidConfig, SideInfo, beta_from,
-                   block_detection, compute_metrics, decide, detect_block,
-                   llr_appendix_oracle, llr_value, roc_sweep,
-                   sweep_block_counts, threshold_nosi, threshold_si)
+from siamp import (BlockDetection, DenoiserParams, InvalidConfig, SideInfo,
+                   aggregate_slot_counts, beta_from, block_detection,
+                   compute_metrics, detect_block, draw_case_pair,
+                   llr_appendix_oracle, sweep_block_counts)
 
 FIG_FAMILY = dict(gamma=1e-8, tau=2e-6, lam=0.1, alpha=0.91, beta=0.01)
 
@@ -15,17 +15,20 @@ def make_params(m=1, **overrides):
     return DenoiserParams(**kw)
 
 
-def draw_instance(rng, params, tau_prev):
-    lam, alpha, beta = params.lam, params.alpha, params.beta
-    case = rng.choice(4, p=[alpha * lam, (1 - alpha) * lam,
-                            beta * (1 - lam), (1 - beta) * (1 - lam)])
-    m = params.num_antennas
-    var_now = params.gamma + params.tau ** 2 if case in (0, 2) else params.tau ** 2
-    var_prev = params.gamma + tau_prev ** 2 if case in (0, 1) else tau_prev ** 2
-    z = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
-    x = np.sqrt(var_now / 2) * z[0]
-    si = SideInfo(pseudo_obs=np.sqrt(var_prev / 2) * z[1], tau_prev=tau_prev)
-    return x, si
+def detect_one(x, si, params):
+    """Detection state of one device, as a one-row block."""
+    return block_detection(np.asarray(x)[None, :], params.tau, params.gamma,
+                           params.lam, params.alpha, params.beta,
+                           np.zeros(1, dtype=bool), si)
+
+
+def llr_one(x, si, params):
+    return float(detect_one(x, si, params).llr[0])
+
+
+def threshold(l, si, params):
+    return float(detect_block(detect_one(np.zeros(params.num_antennas), si,
+                                         params), l).threshold[0])
 
 
 class TestLlr:
@@ -33,12 +36,12 @@ class TestLlr:
         params = make_params(alpha=0.1, beta=0.1)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            x, si = draw_instance(rng, params, tau_prev=2e-6)
-            assert llr_value(x, si, params) == llr_value(x, None, params)
+            x, si = draw_case_pair(rng, params, tau_prev=2e-6)
+            assert llr_one(x, si, params) == llr_one(x, None, params)
 
     def test_zero_observation_leans_inactive(self):
         params = make_params(gamma=2.0, tau=1.0, m=3)
-        value = llr_value(np.zeros(3, complex), None, params)
+        value = llr_one(np.zeros(3, complex), None, params)
         assert value == pytest.approx(-3 * np.log(3.0), rel=1e-12)
         assert value < 0
 
@@ -53,8 +56,8 @@ class TestLlr:
             tau = float(10.0 ** rng.uniform(-6, 0))
             params = DenoiserParams(gamma=ratio * tau * tau, tau=tau, lam=lam,
                                     alpha=alpha, beta=beta, num_antennas=m)
-            x, si = draw_instance(rng, params, tau_prev=tau * rng.uniform(0.5, 2))
-            a = llr_value(x, si, params)
+            x, si = draw_case_pair(rng, params, tau_prev=tau * rng.uniform(0.5, 2))
+            a = llr_one(x, si, params)
             b = llr_appendix_oracle(x, si, params)
             worst = max(worst, abs(a - b) / max(abs(b), 1.0))
         assert worst < 1e-10
@@ -65,23 +68,23 @@ class TestThreshold:
         params = make_params(alpha=0.1, beta=0.1)
         rng = np.random.default_rng(2)
         for _ in range(50):
-            _, si = draw_instance(rng, params, tau_prev=2e-6)
+            _, si = draw_case_pair(rng, params, tau_prev=2e-6)
             for l in (-3.0, 0.0, 4.0):
-                assert threshold_si(l, si, params) == threshold_nosi(l, params)
+                assert threshold(l, si, params) == threshold(l, None, params)
 
     def test_uninformative_side_info_reduces(self):
         params = make_params(gamma=0.0, tau=1.0)
         si = SideInfo(pseudo_obs=np.array([5.0 + 1j]), tau_prev=1.0)
         # gamma=0 makes delta vanish; rule degenerates entirely
         with pytest.raises(InvalidConfig):
-            threshold_si(0.0, si, params)
+            threshold(0.0, si, params)
 
     def test_mu_equal_one_drops_side_term(self):
         # tau_prev >> gamma: previous block carries almost no information
         params = make_params()
         si = SideInfo(pseudo_obs=np.array([0.0j]), tau_prev=1.0)
-        assert threshold_si(0.0, si, params) == pytest.approx(
-            threshold_nosi(0.0, params), rel=1e-9)
+        assert threshold(0.0, si, params) == pytest.approx(
+            threshold(0.0, None, params), rel=1e-9)
 
     def test_monotone_in_previous_magnitude_with_limits(self):
         params = make_params()
@@ -94,7 +97,7 @@ class TestThreshold:
         values = []
         for mag in mags:
             si = SideInfo(pseudo_obs=np.array([mag + 0j]), tau_prev=2e-6)
-            values.append(threshold_si(0.0, si, params))
+            values.append(threshold(0.0, si, params))
         values = np.asarray(values)
         assert np.all(np.diff(values) <= 1e-25)
         assert np.all(values >= lower - 1e-25)
@@ -103,9 +106,15 @@ class TestThreshold:
         assert values[-1] == pytest.approx(lower, rel=1e-9)
 
     def test_decide_rules(self):
-        assert decide(0.0, 1.0) is False
-        assert decide(0.0, -1.0) is True  # negative threshold forces active
-        assert decide(1.0, 1.0) is False  # ties resolve inactive
+        # thresholds (l + offset)/delta at l = 0 are 1, -1 and 1
+        det = BlockDetection(energy=np.array([0.0, 0.0, 1.0]),
+                             llr=np.zeros(3), delta=np.ones(3),
+                             offset=np.array([1.0, -1.0, 1.0]),
+                             activity=np.zeros(3, dtype=bool))
+        decisions = detect_block(det, 0.0).decisions
+        assert not decisions[0]
+        assert decisions[1]  # negative threshold forces active
+        assert not decisions[2]  # ties resolve inactive
 
     def test_energy_rule_equals_llr_rule(self):
         rng = np.random.default_rng(3)
@@ -118,14 +127,14 @@ class TestThreshold:
             params = DenoiserParams(gamma=rng.uniform(0.5, 3) * tau * tau,
                                     tau=tau, lam=lam, alpha=alpha, beta=beta,
                                     num_antennas=m)
-            x, si = draw_instance(rng, params, tau_prev=tau * rng.uniform(0.5, 2))
-            llr = llr_value(x, si, params)
+            x, si = draw_case_pair(rng, params, tau_prev=tau * rng.uniform(0.5, 2))
+            det = detect_one(x, si, params)
+            llr = float(det.llr[0])
             l = float(rng.uniform(-10, 10))
             if abs(llr - l) < 1e-9:
                 continue
             checked += 1
-            energy = float(np.sum(np.abs(x) ** 2))
-            assert decide(energy, threshold_si(l, si, params)) == (llr > l)
+            assert bool(detect_block(det, l).decisions[0]) == (llr > l)
         assert checked > 1500
 
 
@@ -198,15 +207,15 @@ class TestSweep:
         fa, md, n_inact, n_act = sweep_block_counts(det, np.array([1.5]))
         assert report.metrics.false_alarms == fa[0]
         assert report.metrics.missed == md[0]
-        decision = report.device(3)
-        assert decision.decision == bool(report.decisions[3])
+        assert report.decisions[3] == (report.energy[3] > report.threshold[3])
 
     def test_roc_curve_monotone_after_aggregation(self):
         rng = np.random.default_rng(8)
         grid = np.linspace(-15, 15, 61)
         trials = [[toy_block(rng), toy_block(rng)] for _ in range(10)]
-        curves = roc_sweep(trials, grid)
-        assert len(curves) == 2
+        curves = [aggregate_slot_counts([sweep_block_counts(trial[j], grid)
+                                         for trial in trials], grid)
+                  for j in range(2)]
         for curve in curves:
             # both rates are monotone in l, so P_MD cannot rise where P_FA
             # strictly rises (ties in P_FA are the only degeneracy)
@@ -216,10 +225,13 @@ class TestSweep:
     def test_interpolation_at_target(self):
         rng = np.random.default_rng(9)
         grid = np.linspace(-15, 15, 121)
-        trials = [[toy_block(rng)] for _ in range(20)]
-        curve = roc_sweep(trials, grid)[0]
-        pmd, se = curve.p_md_at(0.1)
+        counts = [sweep_block_counts(toy_block(rng), grid) for _ in range(20)]
+        curve = aggregate_slot_counts(counts, grid)
+        l_star = curve.l_at(0.1)
+        assert grid[0] <= l_star <= grid[-1]
+        pmd = np.interp(l_star, grid, curve.p_md)
+        se = np.interp(l_star, grid, curve.se_p_md)
         assert 0.0 <= pmd <= 1.0
         assert se > 0.0
         with pytest.raises(InvalidConfig):
-            curve.p_md_at(2.0)
+            curve.l_at(2.0)

@@ -6,7 +6,7 @@ import pytest
 
 from siamp import (ParseError, ValidationError, emit_csv, parse_config,
                    run_experiment, spec_from_options)
-from siamp import amp, model
+from siamp import amp, experiment, model
 from siamp.experiment import (_run_trial_counts, annulus_gains, default_l_grid,
                               denoiser_response_curve,
                               detector_threshold_curve, read_roc_csv,
@@ -142,7 +142,8 @@ class TestRunExperiment:
             np.testing.assert_array_equal(a.p_md, b.p_md)
 
     def test_one_scenario_and_shared_first_block_per_trial(self, monkeypatch):
-        calls = {"generate_scenario": 0, "run_trial": 0, "run_block": 0}
+        calls = {"generate_scenario": 0, "run_trial": 0, "run_block": 0,
+                 "sweep_block_counts": 0}
 
         def counted(module, name):
             fn = getattr(module, name)
@@ -155,13 +156,18 @@ class TestRunExperiment:
         counted(model, "generate_scenario")
         counted(amp, "run_trial")
         counted(amp, "run_block")
+        counted(experiment, "sweep_block_counts")
         spec = spec_from_options(desk_options(num_blocks="3"))
         index, out = _run_trial_counts((spec, 0))
         assert index == 0 and set(out) == set(spec.variants)
         assert calls["generate_scenario"] == 1
         assert calls["run_trial"] == len(spec.variants)
-        # block 1 has no side information under either variant
+        # block 1 has no side information under either variant, so it is
+        # estimated and swept once
         assert calls["run_block"] == 3 * len(spec.variants) - 1
+        assert calls["sweep_block_counts"] == 3 * len(spec.variants) - 1
+        for variant in spec.variants[1:]:
+            assert out[variant][0]["counts"] is out[spec.variants[0]][0]["counts"]
 
     def test_trial_seeds_distinct_and_stable(self):
         seeds = [trial_seed(5, i) for i in range(100)]
