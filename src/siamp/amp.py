@@ -174,8 +174,7 @@ def _track_block(config: model.ScenarioConfig,
     result = run_block(block.received, scenario.pilots.matrix, si, config)
     det = detector.block_detection(
         result.pseudo_obs, result.tau_final, config.path_losses,
-        config.activity_rate, config.persistence, config.beta,
-        truth.activity, si)
+        config.persistence, config.beta, truth.activity, si)
     report = detector.detect_block(det, l, x_hat=result.x_hat,
                                    x_true=truth.effective_signal)
     return result, det, report

@@ -29,8 +29,8 @@ from .model import generate_scenario, dump_trace_csv
 from .streams import substream
 
 # parameter family of the response/threshold curve examples
-_CURVE_DEFAULTS = dict(gamma=1e-8, tau=2e-6, tau_prev=2e-6, lam=0.1,
-                       alpha=0.91, beta=0.01, num_antennas=1)
+_CURVE_DEFAULTS = dict(gamma=1e-8, tau=2e-6, tau_prev=2e-6, alpha=0.91,
+                       beta=0.01, num_antennas=1)
 
 
 def _load_spec(args):
@@ -95,8 +95,7 @@ def _cmd_se_trace(args) -> int:
     out_dir = spec.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "se_trace.csv")
-    _write_se_trace_csv(path, spec.variants,
-                        {v: chained_se_traces(spec, v) for v in spec.variants})
+    _write_se_trace_csv(path, spec.variants, chained_se_traces(spec))
     print(f"se_trace: {path}")
     return 0
 
@@ -105,7 +104,7 @@ def _cmd_denoiser_curve(args) -> int:
     grid = np.linspace(0.0, args.max_input, args.points)
     rows = denoiser_response_curve(
         prev_magnitudes=[float(v) for v in args.prev.split(",")],
-        grid=grid, **_CURVE_DEFAULTS)
+        grid=grid, lam=0.1, **_CURVE_DEFAULTS)
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, "denoiser_curve.csv")
     _write_csv(path, ["variant", "prev_abs", "input_abs", "output_abs"], rows)
@@ -179,7 +178,7 @@ def _cmd_oracle_check(args) -> int:
         scale = max(float(np.linalg.norm(ref)), 1e-300)
         max_denoise_err = max(max_denoise_err,
                               float(np.linalg.norm(ours - ref)) / scale)
-        det = block_detection(x_t[None, :], tau, gamma, lam, alpha, beta,
+        det = block_detection(x_t[None, :], tau, gamma, alpha, beta,
                               np.zeros(1, dtype=bool), si)
         llr = float(det.llr[0])
         llr_ref = llr_appendix_oracle(x_t, si, params)

@@ -136,8 +136,8 @@ def compute_metrics(decisions: np.ndarray, activity: np.ndarray,
                             num_active=n_active, p_fa=p_fa, p_md=p_md, nmse=nmse)
 
 
-def block_detection(pseudo_obs: np.ndarray, tau: float, gamma, lam: float,
-                    alpha: float, beta: float, activity: np.ndarray,
+def block_detection(pseudo_obs: np.ndarray, tau: float, gamma, alpha: float,
+                    beta: float, activity: np.ndarray,
                     si: SideInfo | None = None) -> BlockDetection:
     """Vectorized detection state for one block (all devices at once).
 

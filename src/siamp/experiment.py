@@ -81,8 +81,8 @@ class ExperimentSpec:
             out.append(f"variants must be a nonempty subset of {VARIANTS}")
         if self.parallelism < 1:
             out.append("parallelism must be >= 1")
-        if self.se_sample_count < 1:
-            out.append("se_sample_count must be >= 1")
+        if self.se_sample_count < 2:
+            out.append("se_sample_count must be >= 2")
         return out
 
     def validate(self) -> "ExperimentSpec":
@@ -121,6 +121,9 @@ _FLOAT_KEYS = {"activity_rate", "persistence", "noise_variance", "gamma",
                "tx_power_dbm", "noise_psd_dbm_hz", "bandwidth_hz"}
 _STR_KEYS = {"preset", "placement", "variants", "l_grid", "out_dir"}
 _KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
+
+_ANNULUS_KEYS = ("cell_radius_km", "min_radius_km", "tx_power_dbm",
+                 "noise_psd_dbm_hz", "bandwidth_hz")
 
 _DEFAULTS = dict(
     num_antennas=1, num_blocks=1, activity_rate=0.1, persistence=0.1,
@@ -210,11 +213,7 @@ def spec_from_options(options: dict, source: str = "<options>") -> ExperimentSpe
         gains = annulus_gains(
             converted["num_devices"],
             substream(converted["rng_seed"], STREAM_PLACEMENT),
-            cell_radius_km=converted.get("cell_radius_km", 1.0),
-            min_radius_km=converted.get("min_radius_km", 0.05),
-            tx_power_dbm=converted.get("tx_power_dbm", 23.0),
-            noise_psd_dbm_hz=converted.get("noise_psd_dbm_hz", -169.0),
-            bandwidth_hz=converted.get("bandwidth_hz", 1e7))
+            **{k: converted[k] for k in _ANNULUS_KEYS if k in converted})
         noise_variance = 1.0  # gains are normalized to the noise floor
     elif placement == "gamma":
         if "gamma" not in converted:
@@ -396,7 +395,7 @@ def run_experiment(spec: ExperimentSpec) -> AggregateResult:
         per_trial[variant] = {"fa": fa, "md": md, "n_inactive": n_inact,
                               "n_active": n_act}
 
-    se_traces = {v: chained_se_traces(spec, v) for v in spec.variants}
+    se_traces = chained_se_traces(spec)
     metadata = {
         "seed": spec.scenario.rng_seed,
         "version": __version__,
@@ -413,25 +412,26 @@ def run_experiment(spec: ExperimentSpec) -> AggregateResult:
                            failures=failures)
 
 
-def chained_se_traces(spec: ExperimentSpec, variant: str) -> list[SeTrace]:
-    """Per-slot state-evolution predictions for one variant.
+def chained_se_traces(spec: ExperimentSpec) -> dict[str, list[SeTrace]]:
+    """Per-slot state-evolution predictions, {variant: list[SeTrace]}.
 
-    Slot 1 always runs without side information.  Under "si" each later
-    slot conditions on the previous slot's converged fixed point.
+    Every nosi slot and si slot 1 run the same recursion without side
+    information, so it is solved once and that trace is shared.  Each
+    later si slot conditions on the previous slot's converged fixed point.
     """
-    traces = []
-    tau_prev = None
-    for j in range(spec.scenario.num_blocks):
-        mode = "nosi" if (variant == "nosi" or j == 0) else "si"
-        params = SeParams.from_scenario(spec.scenario,
-                                        sample_count=spec.se_sample_count,
-                                        tau_prev=tau_prev)
-        rng = substream(spec.scenario.rng_seed, STREAM_SE_TRACE, variant, j)
-        trace = se_fixed_point(params, variant=mode, rng=rng)
-        traces.append(trace)
-        if variant == "si":
-            tau_prev = float(np.sqrt(trace.fixed_point))
-    return traces
+    def solve(mode, j, tau_prev=None):
+        params = SeParams.from_scenario(spec.scenario, tau_prev=tau_prev,
+                                        sample_count=spec.se_sample_count)
+        rng = substream(spec.scenario.rng_seed, STREAM_SE_TRACE, mode, j)
+        return se_fixed_point(params, variant=mode, rng=rng)
+
+    nosi = solve("nosi", 0)
+    chains = {"nosi": [nosi] * spec.scenario.num_blocks, "si": [nosi]}
+    if "si" in spec.variants:
+        for j in range(1, spec.scenario.num_blocks):
+            tau_prev = float(np.sqrt(chains["si"][-1].fixed_point))
+            chains["si"].append(solve("si", j, tau_prev))
+    return {v: chains[v] for v in spec.variants}
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +466,7 @@ def denoiser_response_curve(gamma: float, tau: float, tau_prev: float,
 
 
 def detector_threshold_curve(gamma: float, tau: float, tau_prev: float,
-                             lam: float, alpha: float, beta: float,
+                             alpha: float, beta: float,
                              num_antennas: int, l: float,
                              prev_grid: np.ndarray):
     """Energy threshold versus previous-block magnitude, with its limits.
@@ -529,8 +529,10 @@ def _write_se_trace_csv(path, variants, se_traces):
     for variant in variants:
         for j, trace in enumerate(se_traces[variant]):
             for step, (tau_sq, err) in enumerate(zip(trace.tau_sq, trace.stderr)):
-                rows.append((variant, j + 1, step, tau_sq, err))
-    _write_csv(path, ["variant", "slot_j", "step", "tau_sq", "stderr"], rows)
+                rows.append((variant, j + 1, step, tau_sq, err,
+                             int(trace.converged)))
+    _write_csv(path, ["variant", "slot_j", "step", "tau_sq", "stderr",
+                      "converged"], rows)
 
 
 def emit_csv(result: AggregateResult, out_dir) -> dict:
@@ -570,10 +572,11 @@ def emit_csv(result: AggregateResult, out_dir) -> dict:
     tau = float(np.sqrt(result.se_traces[first_variant][0].fixed_point))
     scale = np.sqrt(gamma)
     curve_kw = dict(gamma=gamma, tau=tau, tau_prev=tau,
-                    lam=scenario.activity_rate, alpha=scenario.persistence,
-                    beta=scenario.beta, num_antennas=scenario.num_antennas)
+                    alpha=scenario.persistence, beta=scenario.beta,
+                    num_antennas=scenario.num_antennas)
     grid = np.linspace(0.0, 4.0 * np.sqrt(gamma + tau * tau), 401)
     den_rows = denoiser_response_curve(
+        lam=scenario.activity_rate,
         prev_magnitudes=[1e-3 * scale, 10.0 * scale], grid=grid, **curve_kw)
     paths["denoiser_curve"] = os.path.join(out_dir, "denoiser_curve.csv")
     _write_csv(paths["denoiser_curve"],

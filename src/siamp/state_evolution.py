@@ -5,7 +5,9 @@ like the truth plus isotropic complex Gaussian noise of variance tau_t^2
 per antenna; tau evolves by adding the load-scaled per-antenna MSE of the
 denoiser to the channel noise floor.  The MSE expectation is estimated by
 Monte Carlo over the generative model (activity case, channels, noise,
-and in SI mode the previous block's effective observation).
+and in SI mode the previous block's effective observation).  A trace
+replays one set of draws at every step (common random numbers), so the
+recursion it iterates is a deterministic map with a true fixed point.
 """
 
 from dataclasses import dataclass
@@ -32,22 +34,15 @@ class SeParams:
     lam: float
     alpha: float
     beta: float
-    gammas: np.ndarray  # support of the channel-gain distribution
-    weights: np.ndarray  # matching probabilities
+    gammas: np.ndarray  # channel gains, drawn uniformly
     sample_count: int = 100_000
     tau_prev: float | None = None  # converged level of the previous block (SI mode)
 
     def __post_init__(self):
-        gammas = np.atleast_1d(np.asarray(self.gammas, dtype=float))
-        weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        object.__setattr__(self, "gammas", gammas)
-        object.__setattr__(self, "weights", weights)
-        if gammas.shape != weights.shape:
-            raise InvalidConfig("gamma support and weights must align")
-        if abs(weights.sum() - 1.0) > 1e-9 or np.any(weights < 0.0):
-            raise InvalidConfig("gamma weights must be a distribution")
-        if self.sample_count < 1:
-            raise InvalidConfig("sample_count must be positive")
+        object.__setattr__(self, "gammas",
+                           np.atleast_1d(np.asarray(self.gammas, dtype=float)))
+        if self.sample_count < 2:
+            raise InvalidConfig("sample_count must be >= 2")
         if not self.noise_variance > 0.0 or not self.load > 0.0:
             raise InvalidConfig("noise_variance and load must be positive")
         if self.tau_prev is not None and not self.tau_prev > 0.0:
@@ -57,18 +52,16 @@ class SeParams:
     def from_scenario(cls, config: ScenarioConfig, sample_count: int = 100_000,
                       tau_prev: float | None = None) -> "SeParams":
         """Gains sampled from the scenario's empirical path-loss distribution."""
-        gammas = np.asarray(config.path_losses, dtype=float)
-        weights = np.full(gammas.shape, 1.0 / gammas.size)
         return cls(noise_variance=config.noise_variance,
                    load=config.num_devices / config.pilot_length,
                    num_antennas=config.num_antennas,
                    lam=config.activity_rate, alpha=config.persistence,
-                   beta=config.beta, gammas=gammas, weights=weights,
+                   beta=config.beta, gammas=config.path_losses,
                    sample_count=sample_count, tau_prev=tau_prev)
 
     @property
     def mean_gamma(self) -> float:
-        return float(np.dot(self.gammas, self.weights))
+        return float(np.mean(self.gammas))
 
 
 @dataclass
@@ -119,10 +112,7 @@ def se_step(tau_sq: float, params: SeParams, variant: str,
     s, m = params.sample_count, params.num_antennas
     tau = float(np.sqrt(tau_sq))
     active_now, active_prev = _sample_case(rng, params, s)
-    if params.gammas.size == 1:
-        gamma = np.full(s, params.gammas[0])
-    else:
-        gamma = rng.choice(params.gammas, size=s, p=params.weights)
+    gamma = rng.choice(params.gammas, size=s)
     scale = np.sqrt(gamma)[:, None]
     x_true = np.where(active_now[:, None], scale * _complex_std_normal(rng, (s, m)), 0.0)
     x_tilde = x_true + tau * _complex_std_normal(rng, (s, m))
@@ -150,23 +140,25 @@ def se_fixed_point(params: SeParams, variant: str = "nosi",
     """Iterate the recursion to its fixed point.
 
     Starts from the zero-denoiser level noise_variance + load*lam*E[gamma]
-    and stops when the relative change drops below `rel_tol`.  A trace that
-    fails to converge within `max_steps` is returned with converged=False.
+    and stops when the relative change drops below `rel_tol`.  Every step
+    replays the draws made from `rng`'s starting state.  A trace that fails
+    to converge within `max_steps` is returned with converged=False.
     """
     if rng is None:
         rng = substream(0, STREAM_SE)
+    start = rng.bit_generator.state
     tau_sq = params.noise_variance + params.load * params.lam * params.mean_gamma
     trace = [tau_sq]
     errs = [0.0]
     converged = False
     for _ in range(max_steps):
+        rng.bit_generator.state = start
         nxt, err = se_step(tau_sq, params, variant, rng, denoiser_fn)
         trace.append(nxt)
         errs.append(err)
-        if abs(nxt - tau_sq) / tau_sq < rel_tol:
-            tau_sq = nxt
-            converged = True
-            break
+        converged = abs(nxt - tau_sq) / tau_sq < rel_tol
         tau_sq = nxt
+        if converged:
+            break
     return SeTrace(tau_sq=np.asarray(trace), stderr=np.asarray(errs),
                    converged=converged)

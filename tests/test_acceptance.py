@@ -37,7 +37,7 @@ def denoise_one(x_t, si, params):
 
 def detect_one(x_t, si, params):
     """Detection state of one device, as a one-row block."""
-    return block_detection(x_t[None, :], params.tau, params.gamma, params.lam,
+    return block_detection(x_t[None, :], params.tau, params.gamma,
                            params.alpha, params.beta, np.zeros(1, dtype=bool),
                            si)
 
@@ -292,7 +292,7 @@ def test_a8_response_and_threshold_shapes():
 
     prev_grid = np.linspace(0.0, 2e-5, 2001)
     t_rows, lower, upper = detector_threshold_curve(
-        gamma=1e-8, tau=2e-6, tau_prev=2e-6, lam=0.1, alpha=0.91, beta=0.01,
+        gamma=1e-8, tau=2e-6, tau_prev=2e-6, alpha=0.91, beta=0.01,
         num_antennas=1, l=0.0, prev_grid=prev_grid)
     values = np.array([r[1] for r in t_rows])
     monotone = bool(np.all(np.diff(values) <= 1e-25))

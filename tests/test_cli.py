@@ -52,6 +52,7 @@ def test_se_trace_subcommand(tiny_config, tmp_path):
     with open(out / "se_trace.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert all(float(r["tau_sq"]) >= 0.1 for r in rows)
+    assert {r["converged"] for r in rows} == {"1"}
 
 
 def test_denoiser_curve(tmp_path):

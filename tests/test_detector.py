@@ -18,8 +18,8 @@ def make_params(m=1, **overrides):
 def detect_one(x, si, params):
     """Detection state of one device, as a one-row block."""
     return block_detection(np.asarray(x)[None, :], params.tau, params.gamma,
-                           params.lam, params.alpha, params.beta,
-                           np.zeros(1, dtype=bool), si)
+                           params.alpha, params.beta, np.zeros(1, dtype=bool),
+                           si)
 
 
 def llr_one(x, si, params):
@@ -184,7 +184,7 @@ def toy_block(rng, n=400, m=1):
                  0)
     pseudo = x + tau * np.sqrt(0.5) * (rng.standard_normal((n, m))
                                        + 1j * rng.standard_normal((n, m)))
-    return block_detection(pseudo, tau, gamma, lam, alpha, beta, activity)
+    return block_detection(pseudo, tau, gamma, alpha, beta, activity)
 
 
 class TestSweep:

@@ -7,7 +7,8 @@ import pytest
 from siamp import (ParseError, ValidationError, emit_csv, parse_config,
                    run_experiment, spec_from_options)
 from siamp import amp, experiment, model
-from siamp.experiment import (_run_trial_counts, annulus_gains, default_l_grid,
+from siamp.experiment import (_run_trial_counts, annulus_gains,
+                              chained_se_traces, default_l_grid,
                               denoiser_response_curve,
                               detector_threshold_curve, read_roc_csv,
                               trial_seed)
@@ -89,6 +90,12 @@ class TestParseConfig:
         with pytest.raises(ParseError, match="unknown preset"):
             spec_from_options({"preset": "fig9"})
 
+    def test_single_se_sample_rejected(self):
+        # the standard error of one sample is undefined
+        with pytest.raises(ValidationError) as exc:
+            spec_from_options(desk_options(se_sample_count="1"))
+        assert any("se_sample_count" in v for v in exc.value.violations)
+
 
 class TestAnnulusGains:
     def test_radius_bounds_respected(self):
@@ -169,6 +176,28 @@ class TestRunExperiment:
         for variant in spec.variants[1:]:
             assert out[variant][0]["counts"] is out[spec.variants[0]][0]["counts"]
 
+    def test_nosi_fixed_point_solved_once(self, monkeypatch):
+        solved = []
+        solve = experiment.se_fixed_point
+
+        def counted(*args, **kwargs):
+            solved.append(solve(*args, **kwargs))
+            return solved[-1]
+
+        spec = spec_from_options(desk_options(num_blocks="4",
+                                              se_sample_count="2000"))
+        monkeypatch.setattr(experiment, "se_fixed_point", counted)
+        traces = chained_se_traces(spec)
+        monkeypatch.undo()
+        # one nosi recursion plus one si recursion per slot after the first
+        assert len(solved) == spec.scenario.num_blocks
+        nosi = traces["nosi"][0]
+        assert all(t is nosi for t in traces["nosi"])
+        assert traces["si"][0] is nosi
+        assert traces["si"][1:] == solved[1:]
+        si_only = chained_se_traces(replace(spec, variants=("si",)))
+        assert si_only["si"][0].fixed_point == nosi.fixed_point
+
     def test_trial_seeds_distinct_and_stable(self):
         seeds = [trial_seed(5, i) for i in range(100)]
         assert len(set(seeds)) == 100
@@ -226,8 +255,8 @@ class TestCurves:
     def test_threshold_curve_monotone_and_bracketed(self):
         prev_grid = np.linspace(0, 2e-5, 401)
         rows, lower, upper = detector_threshold_curve(
-            gamma=1e-8, tau=2e-6, tau_prev=2e-6, lam=0.1, alpha=0.91,
-            beta=0.01, num_antennas=1, l=0.0, prev_grid=prev_grid)
+            gamma=1e-8, tau=2e-6, tau_prev=2e-6, alpha=0.91, beta=0.01,
+            num_antennas=1, l=0.0, prev_grid=prev_grid)
         values = np.array([r[1] for r in rows])
         assert np.all(np.diff(values) <= 1e-25)
         assert np.all(values <= upper + 1e-25)

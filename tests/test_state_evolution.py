@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from siamp import InvalidConfig, SeParams, se_fixed_point, se_step
+from siamp import (InvalidConfig, SeParams, se_fixed_point, se_step,
+                   spec_from_options)
+from siamp.experiment import chained_se_traces
 from siamp.streams import substream
 
 
 def make_params(**overrides):
     defaults = dict(noise_variance=0.1, load=1000 / 300, num_antennas=1,
                     lam=0.1, alpha=0.46, beta=0.06, gammas=np.array([1.0]),
-                    weights=np.array([1.0]), sample_count=50_000)
+                    sample_count=50_000)
     defaults.update(overrides)
     return SeParams(**defaults)
 
@@ -54,7 +56,6 @@ class TestSeStep:
 
     def test_heterogeneous_gains_sampled(self):
         params = make_params(gammas=np.array([0.5, 2.0]),
-                             weights=np.array([0.5, 0.5]),
                              sample_count=200_000)
         hook = lambda xt, x_true, prev: np.zeros_like(xt)
         nxt, err = se_step(0.5, params, "nosi", substream(4, "se"), denoiser_fn=hook)
@@ -103,12 +104,34 @@ class TestFixedPoint:
         b, eb = se_step(0.25, params, "si", substream(10, "se"))
         assert b <= a + 2 * np.hypot(ea, eb)
 
+    def test_steps_replay_one_draw(self):
+        # every step maps the same samples: re-running the last step from
+        # the trace's starting state reproduces it exactly
+        params = make_params(sample_count=20_000)
+        trace = se_fixed_point(params, "nosi", rng=substream(13, "se"))
+        nxt, err = se_step(trace.tau_sq[-2], params, "nosi", substream(13, "se"))
+        assert trace.converged
+        assert (nxt, err) == (trace.tau_sq[-1], trace.stderr[-1])
+
+    def test_single_sample_rejected(self):
+        with pytest.raises(InvalidConfig):
+            make_params(sample_count=1)
+
     def test_nonconvergence_flagged(self):
         params = make_params(sample_count=5000)
         trace = se_fixed_point(params, "nosi", rng=substream(11, "se"),
                                rel_tol=0.0, max_steps=5)
         assert not trace.converged
         assert len(trace.tau_sq) == 6
+
+
+@pytest.mark.parametrize("preset", ["fig3-desk", "fig4-desk"])
+def test_desk_preset_traces_converge(preset):
+    traces = chained_se_traces(spec_from_options({"preset": preset}))
+    for variant, per_slot in traces.items():
+        for j, trace in enumerate(per_slot):
+            assert trace.converged, f"{preset} {variant} slot {j + 1}"
+            assert len(trace.tau_sq) <= 20
 
 
 @pytest.mark.slow
