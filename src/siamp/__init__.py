@@ -11,9 +11,9 @@ __version__ = "0.1.0"
 from .amp import (AmpBlockResult, AmpState, TrialResult, amp_iterate,
                   estimate_tau, pseudo_observations, run_block, run_trial,
                   run_trial_variants)
-from .denoiser import (CasePosterior, DenoiserParams, SideInfo,
-                       case_log_likelihoods, case_posteriors, denoise_rows,
-                       draw_case_pair, log_odds_terms, oracle_posterior_mean)
+from .denoiser import (DenoiserParams, SideInfo, case_log_likelihoods,
+                       denoise_rows, draw_case_pair, log_odds_terms,
+                       oracle_posterior_mean)
 from .detector import (BlockDetection, DetectionMetrics, DetectionReport,
                        RocCurve, aggregate_slot_counts, block_detection,
                        compute_metrics, detect_block, llr_appendix_oracle,
@@ -23,8 +23,7 @@ from .errors import (DimensionMismatch, InvalidConfig, NonFiniteState,
 from .experiment import (AggregateResult, ExperimentSpec, annulus_gains,
                          default_l_grid, emit_csv, parse_config,
                          run_experiment, spec_from_options)
-from .model import (BlockTruth, MarkovActivityModel, PilotMatrix,
-                    ReceivedBlock, ScenarioConfig, ScenarioRealization,
+from .model import (BlockTruth, ScenarioConfig, ScenarioRealization,
                     beta_from, draw_pilot_matrix, dump_trace_csv,
                     generate_scenario, path_loss_linear,
                     sample_activity_trace, synthesize_block)

@@ -154,35 +154,35 @@ def run_block(y: np.ndarray, pilots: np.ndarray, si: SideInfo | None,
 
 @dataclass
 class TrialResult:
-    """All per-block outputs of one J-block trial under one variant."""
+    """All per-block outputs of one J-block trial under one variant.
 
-    config: model.ScenarioConfig
+    `reports` score each block's detection at the fixed level l = 0.
+    """
+
     variant: str
-    scenario: model.ScenarioRealization
     blocks: list[AmpBlockResult] = field(default_factory=list)
-    side_info_used: list[SideInfo | None] = field(default_factory=list)
     detections: list[detector.BlockDetection] = field(default_factory=list)
     reports: list[detector.DetectionReport] = field(default_factory=list)
 
 
 def _track_block(config: model.ScenarioConfig,
                  scenario: model.ScenarioRealization, j: int,
-                 si: SideInfo | None, l: float):
+                 si: SideInfo | None):
     """Estimate block j of the scenario given side information si, detect
-    its activity and score it; returns (estimate, detection, report)."""
-    truth, block = scenario.blocks[j], scenario.received[j]
-    result = run_block(block.received, scenario.pilots.matrix, si, config)
+    its activity and score it at l = 0; returns (estimate, detection,
+    report)."""
+    truth = scenario.blocks[j]
+    result = run_block(scenario.received[j], scenario.pilots, si, config)
     det = detector.block_detection(
         result.pseudo_obs, result.tau_final, config.path_losses,
         config.persistence, config.beta, truth.activity, si)
-    report = detector.detect_block(det, l, x_hat=result.x_hat,
+    report = detector.detect_block(det, 0.0, x_hat=result.x_hat,
                                    x_true=truth.effective_signal)
     return result, det, report
 
 
-def run_trial(config: model.ScenarioConfig, variant: str = "si",
-              l: float = 0.0, *, scenario=None,
-              first_block=None) -> TrialResult:
+def run_trial(config: model.ScenarioConfig, variant: str = "si", *,
+              scenario=None, first_block=None) -> TrialResult:
     """Generate a scenario and track it block by block.
 
     With variant "si" each block after the first is denoised and detected
@@ -197,15 +197,14 @@ def run_trial(config: model.ScenarioConfig, variant: str = "si",
         raise ValueError(f"variant must be 'si' or 'nosi', got {variant!r}")
     if scenario is None:
         scenario = model.generate_scenario(config)
-    out = TrialResult(config=config, variant=variant, scenario=scenario)
+    out = TrialResult(variant=variant)
     si = None
     for j in range(len(scenario.blocks)):
         if j == 0 and first_block is not None:
             result, det, report = first_block
         else:
-            result, det, report = _track_block(config, scenario, j, si, l)
+            result, det, report = _track_block(config, scenario, j, si)
         out.blocks.append(result)
-        out.side_info_used.append(si)
         out.detections.append(det)
         out.reports.append(report)
         if variant == "si":
@@ -213,15 +212,15 @@ def run_trial(config: model.ScenarioConfig, variant: str = "si",
     return out
 
 
-def run_trial_variants(config: model.ScenarioConfig, variants,
-                       l: float = 0.0) -> list[TrialResult]:
+def run_trial_variants(config: model.ScenarioConfig,
+                       variants) -> list[TrialResult]:
     """`run_trial` under each variant on one scenario realization.
 
     Block 1 has no side information under any variant, so it is estimated
     and detected once and shared.  Returns one result per variant, in
-    order, each equal to a separate `run_trial(config, variant, l)`.
+    order, each equal to a separate `run_trial(config, variant)`.
     """
     scenario = model.generate_scenario(config)
-    first_block = _track_block(config, scenario, 0, None, l)
-    return [run_trial(config, variant, l, scenario=scenario,
+    first_block = _track_block(config, scenario, 0, None)
+    return [run_trial(config, variant, scenario=scenario,
                       first_block=first_block) for variant in variants]

@@ -23,11 +23,9 @@ from .errors import InvalidConfig
 __all__ = [
     "DenoiserParams",
     "SideInfo",
-    "CasePosterior",
     "log_odds_terms",
     "denoise_rows",
     "case_log_likelihoods",
-    "case_posteriors",
     "oracle_posterior_mean",
     "draw_case_pair",
 ]
@@ -73,18 +71,6 @@ class SideInfo:
                                 f"got shape {obs.shape}")
         if not np.all(np.isfinite(obs)):
             raise InvalidConfig("side-information vector has non-finite entries")
-
-
-@dataclass(frozen=True)
-class CasePosterior:
-    """Posterior over the four joint activity cases for one device."""
-
-    probs: np.ndarray  # (4,), order: act->act, act->inact, inact->act, inact->inact
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        if p.shape != (4,) or np.any(p < 0.0) or abs(p.sum() - 1.0) > 1e-12:
-            raise InvalidConfig(f"case posterior must be a length-4 distribution: {p}")
 
 
 def _row_norm_sq(x: np.ndarray) -> np.ndarray:
@@ -195,14 +181,6 @@ def case_log_likelihoods(x_tilde: np.ndarray, si: SideInfo,
     likes = (cur_active + prev_active, cur_inactive + prev_active,
              cur_active + prev_inactive, cur_inactive + prev_inactive)
     return np.array([_log_or_neg_inf(p) + l for p, l in zip(priors, likes)])
-
-
-def case_posteriors(x_tilde: np.ndarray, si: SideInfo,
-                    params: DenoiserParams) -> CasePosterior:
-    """Normalized posterior over the four activity cases."""
-    ll = case_log_likelihoods(x_tilde, si, params)
-    probs = np.exp(ll - logsumexp(ll))
-    return CasePosterior(probs=probs / probs.sum())
 
 
 def oracle_posterior_mean(x_tilde: np.ndarray, si: SideInfo,

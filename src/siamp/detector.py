@@ -47,14 +47,6 @@ class DetectionMetrics:
     p_md: float
     nmse: float
 
-    @property
-    def p_fa_defined(self) -> bool:
-        return self.num_inactive > 0
-
-    @property
-    def p_md_defined(self) -> bool:
-        return self.num_active > 0
-
 
 @dataclass(frozen=True)
 class DetectionReport:
@@ -208,28 +200,35 @@ class RocCurve:
         return float(np.interp(target_p_fa, pfa_sorted, self.l_grid[order]))
 
 
-def aggregate_slot_counts(slot_counts, l_grid: np.ndarray) -> RocCurve:
-    """Pool per-trial (fa, md, n_inactive, n_active) counts into one curve."""
+def aggregate_slot_counts(fa: np.ndarray, md: np.ndarray,
+                          n_inactive: np.ndarray, n_active: np.ndarray,
+                          l_grid: np.ndarray) -> RocCurve:
+    """Pool one slot's per-trial sweep counts into one curve.
+
+    `fa` and `md` are (trials, len(l_grid)) error counts, `n_inactive`
+    and `n_active` the (trials,) device counts they are rates of.  A
+    trial with an empty denominator has a NaN per-trial rate and adds
+    nothing to the pooled one.
+    """
     l_grid = np.asarray(l_grid, dtype=float)
-    fa = np.zeros(len(l_grid))
-    md = np.zeros(len(l_grid))
-    n_inact = 0
-    n_act = 0
-    rates_fa, rates_md = [], []
-    for fa_i, md_i, ninact_i, nact_i in slot_counts:
-        fa += fa_i
-        md += md_i
-        n_inact += ninact_i
-        n_act += nact_i
-        rates_fa.append(fa_i / ninact_i if ninact_i > 0 else np.full(len(l_grid), np.nan))
-        rates_md.append(md_i / nact_i if nact_i > 0 else np.full(len(l_grid), np.nan))
-    rates_fa = np.asarray(rates_fa)
-    rates_md = np.asarray(rates_md)
-    p_fa = fa / n_inact if n_inact > 0 else np.full(len(l_grid), np.nan)
-    p_md = md / n_act if n_act > 0 else np.full(len(l_grid), np.nan)
-    return RocCurve(l_grid=l_grid, p_fa=p_fa, p_md=p_md,
-                    se_p_fa=_rate_stderr(rates_fa), se_p_md=_rate_stderr(rates_md),
-                    num_trials=len(slot_counts))
+    return RocCurve(l_grid=l_grid, p_fa=_pooled_rate(fa, n_inactive),
+                    p_md=_pooled_rate(md, n_active),
+                    se_p_fa=_rate_stderr(_per_trial_rates(fa, n_inactive)),
+                    se_p_md=_rate_stderr(_per_trial_rates(md, n_active)),
+                    num_trials=len(fa))
+
+
+def _pooled_rate(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    total = int(np.sum(totals))
+    if total == 0:
+        return np.full(np.shape(counts)[1], np.nan)
+    return np.sum(counts, axis=0) / total
+
+
+def _per_trial_rates(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    totals = np.asarray(totals)[:, None]
+    return np.divide(counts, totals, out=np.full(np.shape(counts), np.nan),
+                     where=totals > 0)
 
 
 def _rate_stderr(per_trial_rates: np.ndarray) -> np.ndarray:

@@ -75,8 +75,12 @@ class ExperimentSpec:
         out = list(self.scenario.violations())
         if self.num_trials < 1:
             out.append("num_trials must be >= 1")
-        if len(np.atleast_1d(self.l_grid)) == 0:
+        grid = np.atleast_1d(self.l_grid)
+        if len(grid) == 0:
             out.append("l_grid must be nonempty")
+        elif not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
+            # per-trial rates are interpolated in l, which needs this order
+            out.append("l_grid must be finite and strictly increasing")
         if not self.variants or not set(self.variants) <= set(VARIANTS):
             out.append(f"variants must be a nonempty subset of {VARIANTS}")
         if self.parallelism < 1:
@@ -265,7 +269,9 @@ def trial_seed(master_seed: int, index: int) -> int:
 
 
 def _run_trial_counts(args):
-    """Worker: one trial, all variants, reduced to sweep counts."""
+    """Worker: one trial, all variants, reduced to per-slot arrays; returns
+    (index, {variant: arrays}), the arrays keyed and shaped as in
+    `AggregateResult.per_trial` without the trial axis."""
     spec, index = args
     config = replace(spec.scenario, rng_seed=trial_seed(spec.scenario.rng_seed,
                                                         index))
@@ -274,15 +280,14 @@ def _run_trial_counts(args):
     first_counts = sweep_block_counts(trials[0].detections[0], spec.l_grid)
     out = {}
     for trial in trials:
-        slots = []
-        for j, (det, report) in enumerate(zip(trial.detections, trial.reports)):
-            slots.append({
-                "counts": (first_counts if j == 0
-                           else sweep_block_counts(det, spec.l_grid)),
-                "nmse": report.metrics.nmse,
-                "tau_final": trial.blocks[j].tau_final,
-            })
-        out[trial.variant] = slots
+        counts = [first_counts] + [sweep_block_counts(det, spec.l_grid)
+                                   for det in trial.detections[1:]]
+        fa, md, n_inactive, n_active = (np.array(c) for c in zip(*counts))
+        out[trial.variant] = {
+            "fa": fa, "md": md, "n_inactive": n_inactive, "n_active": n_active,
+            "nmse": np.array([report.metrics.nmse for report in trial.reports]),
+            "tau_final": np.array([block.tau_final for block in trial.blocks]),
+        }
     return index, out
 
 
@@ -290,10 +295,11 @@ def _run_trial_counts(args):
 class AggregateResult:
     """Cross-trial aggregate of one experiment.
 
-    `per_trial[variant]` keeps the raw per-trial sweep counts (arrays
-    fa/md of shape (trials, slots, len(l_grid)) plus n_inactive/n_active
-    of shape (trials, slots)); variants share scenario substreams, so
-    paired per-trial comparisons across variants or slots are valid.
+    `per_trial[variant]` keeps the per-trial arrays every other field is
+    pooled from: sweep counts `fa`/`md` of shape (trials, slots,
+    len(l_grid)), and `n_inactive`, `n_active`, `nmse` and `tau_final` of
+    shape (trials, slots).  Variants share scenario substreams, so paired
+    per-trial comparisons across variants or slots are valid.
     """
 
     spec: ExperimentSpec
@@ -360,40 +366,27 @@ def run_experiment(spec: ExperimentSpec) -> AggregateResult:
         raise RuntimeError(f"{len(failures)}/{spec.num_trials} trials failed: "
                            f"{failures[:3]}")
 
-    num_slots = spec.scenario.num_blocks
-    n_l = len(spec.l_grid)
     curves = {}
     nmse = {}
     tau_final = {}
     per_trial = {}
     ordered = [results[i] for i in sorted(results)]
     for variant in spec.variants:
-        per_slot_curves = []
-        nmse_rows = np.full((len(ordered), num_slots), np.nan)
-        tau_rows = np.full((len(ordered), num_slots), np.nan)
-        fa = np.zeros((len(ordered), num_slots, n_l), dtype=np.int64)
-        md = np.zeros((len(ordered), num_slots, n_l), dtype=np.int64)
-        n_inact = np.zeros((len(ordered), num_slots), dtype=np.int64)
-        n_act = np.zeros((len(ordered), num_slots), dtype=np.int64)
-        for j in range(num_slots):
-            slot_counts = [trial[variant][j]["counts"] for trial in ordered]
-            per_slot_curves.append(aggregate_slot_counts(slot_counts, spec.l_grid))
-        for row, trial in enumerate(ordered):
-            for j in range(num_slots):
-                fa[row, j], md[row, j], n_inact[row, j], n_act[row, j] = \
-                    trial[variant][j]["counts"]
-            nmse_rows[row] = [trial[variant][j]["nmse"] for j in range(num_slots)]
-            tau_rows[row] = [trial[variant][j]["tau_final"] for j in range(num_slots)]
-        curves[variant] = per_slot_curves
+        data = {key: np.stack([trial[variant][key] for trial in ordered])
+                for key in ordered[0][variant]}
+        curves[variant] = [
+            aggregate_slot_counts(data["fa"][:, j], data["md"][:, j],
+                                  data["n_inactive"][:, j],
+                                  data["n_active"][:, j], spec.l_grid)
+            for j in range(spec.scenario.num_blocks)]
         with warnings.catch_warnings():
             # a slot with no valid trial has a NaN mean
             warnings.simplefilter("ignore", RuntimeWarning)
-            nmse[variant] = (np.nanmean(nmse_rows, axis=0),
-                             _rate_stderr(nmse_rows))
-            tau_final[variant] = (np.nanmean(tau_rows, axis=0),
-                                  _rate_stderr(tau_rows))
-        per_trial[variant] = {"fa": fa, "md": md, "n_inactive": n_inact,
-                              "n_active": n_act}
+            nmse[variant] = (np.nanmean(data["nmse"], axis=0),
+                             _rate_stderr(data["nmse"]))
+            tau_final[variant] = (np.nanmean(data["tau_final"], axis=0),
+                                  _rate_stderr(data["tau_final"]))
+        per_trial[variant] = data
 
     se_traces = chained_se_traces(spec)
     metadata = {
@@ -418,19 +411,24 @@ def chained_se_traces(spec: ExperimentSpec) -> dict[str, list[SeTrace]]:
     Every nosi slot and si slot 1 run the same recursion without side
     information, so it is solved once and that trace is shared.  Each
     later si slot conditions on the previous slot's converged fixed point.
+    Every trace replays one common draw: `se_step` draws the case, gain,
+    signal and current noise before the side-information-only draws, so
+    si and nosi are paired sample by sample and their fixed points differ
+    by what the side information does, not by Monte Carlo noise.
     """
-    def solve(mode, j, tau_prev=None):
+    def solve(mode, tau_prev=None):
         params = SeParams.from_scenario(spec.scenario, tau_prev=tau_prev,
                                         sample_count=spec.se_sample_count)
-        rng = substream(spec.scenario.rng_seed, STREAM_SE_TRACE, mode, j)
+        # the no-SI trace's stream, replayed by every trace
+        rng = substream(spec.scenario.rng_seed, STREAM_SE_TRACE, "nosi", 0)
         return se_fixed_point(params, variant=mode, rng=rng)
 
-    nosi = solve("nosi", 0)
+    nosi = solve("nosi")
     chains = {"nosi": [nosi] * spec.scenario.num_blocks, "si": [nosi]}
     if "si" in spec.variants:
-        for j in range(1, spec.scenario.num_blocks):
+        for _ in range(1, spec.scenario.num_blocks):
             tau_prev = float(np.sqrt(chains["si"][-1].fixed_point))
-            chains["si"].append(solve("si", j, tau_prev))
+            chains["si"].append(solve("si", tau_prev))
     return {v: chains[v] for v in spec.variants}
 
 
@@ -590,25 +588,3 @@ def emit_csv(result: AggregateResult, out_dir) -> dict:
     with open(paths["metadata"], "w") as fh:
         json.dump(result.metadata, fh, indent=2)
     return paths
-
-
-def read_roc_csv(path):
-    """Load an emitted ROC CSV back into arrays keyed by (slot, variant)."""
-    import csv as _csv
-    out = {}
-    with open(path) as fh:
-        for row in _csv.DictReader(fh):
-            key = (int(row["slot_j"]), row["variant"])
-            entry = out.setdefault(key, {"l": [], "p_fa": [], "p_md": [],
-                                         "se_p_fa": [], "se_p_md": [],
-                                         "trials": []})
-            entry["l"].append(float(row["l"]))
-            entry["p_fa"].append(float(row["P_FA"]))
-            entry["p_md"].append(float(row["P_MD"]))
-            entry["se_p_fa"].append(float(row["se_P_FA"]))
-            entry["se_p_md"].append(float(row["se_P_MD"]))
-            entry["trials"].append(int(row["trials"]))
-    for entry in out.values():
-        for key in entry:
-            entry[key] = np.asarray(entry[key])
-    return out

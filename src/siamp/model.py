@@ -50,37 +50,6 @@ def path_loss_linear(distance_km: float) -> float:
 
 
 @dataclass(frozen=True)
-class MarkovActivityModel:
-    """Two-state activity chain: lam marginal, alpha/beta transitions."""
-
-    lam: float
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not 0.0 < self.lam < 1.0:
-            raise InvalidConfig(f"lam must be in (0,1), got {self.lam}")
-        for name, p in (("alpha", self.alpha), ("beta", self.beta)):
-            if not 0.0 <= p <= 1.0:
-                raise InvalidConfig(f"{name} must be in [0,1], got {p}")
-        resid = self.alpha * self.lam + self.beta * (1.0 - self.lam) - self.lam
-        if abs(resid) > 1e-12:
-            raise InvalidConfig(
-                f"stationarity violated: alpha*lam + beta*(1-lam) - lam = {resid:.3e}"
-            )
-
-    @classmethod
-    def from_rates(cls, lam: float, alpha: float) -> "MarkovActivityModel":
-        return cls(lam=lam, alpha=alpha, beta=beta_from(lam, alpha))
-
-    def transition_matrix(self) -> np.ndarray:
-        """Rows indexed by previous state (0=inactive, 1=active)."""
-        return np.array(
-            [[1.0 - self.beta, self.beta], [1.0 - self.alpha, self.alpha]]
-        )
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     """All system, channel, activity and algorithm parameters of one trial."""
 
@@ -99,9 +68,6 @@ class ScenarioConfig:
     @property
     def beta(self) -> float:
         return beta_from(self.activity_rate, self.persistence)
-
-    def activity_model(self) -> MarkovActivityModel:
-        return MarkovActivityModel.from_rates(self.activity_rate, self.persistence)
 
     def violations(self) -> list[str]:
         """All invariant violations (empty list when valid)."""
@@ -140,21 +106,6 @@ class ScenarioConfig:
 
 
 @dataclass(frozen=True)
-class PilotMatrix:
-    """L x N pilot matrix, entries i.i.d. CN(0, 1/L), fixed for a trial."""
-
-    matrix: np.ndarray
-
-    @property
-    def pilot_length(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def num_devices(self) -> int:
-        return self.matrix.shape[1]
-
-
-@dataclass(frozen=True)
 class BlockTruth:
     """Ground truth of one coherence block."""
 
@@ -164,21 +115,13 @@ class BlockTruth:
 
 
 @dataclass(frozen=True)
-class ReceivedBlock:
-    """Noisy observation Y = S X + Z of one block, with the drawn Z kept."""
-
-    received: np.ndarray  # (L, M) complex
-    noise: np.ndarray  # (L, M) complex
-
-
-@dataclass(frozen=True)
 class ScenarioRealization:
     """One full J-block realization of a scenario."""
 
     config: ScenarioConfig
-    pilots: PilotMatrix
+    pilots: np.ndarray  # (L, N) complex, entries i.i.d. CN(0, 1/L)
     blocks: list[BlockTruth] = field(default_factory=list)
-    received: list[ReceivedBlock] = field(default_factory=list)
+    received: list[np.ndarray] = field(default_factory=list)  # (L, M) per block
 
 
 def _complex_gaussian(rng: np.random.Generator, shape, variance) -> np.ndarray:
@@ -192,24 +135,27 @@ def _complex_gaussian(rng: np.random.Generator, shape, variance) -> np.ndarray:
 
 
 def draw_pilot_matrix(pilot_length: int, num_devices: int,
-                      rng: np.random.Generator) -> PilotMatrix:
-    s = _complex_gaussian(rng, (pilot_length, num_devices), 1.0 / pilot_length)
-    return PilotMatrix(matrix=s)
+                      rng: np.random.Generator) -> np.ndarray:
+    """L x N pilot matrix, entries i.i.d. CN(0, 1/L), fixed for a trial."""
+    return _complex_gaussian(rng, (pilot_length, num_devices), 1.0 / pilot_length)
 
 
-def sample_activity_trace(model: MarkovActivityModel, num_devices: int,
+def sample_activity_trace(lam: float, alpha: float, num_devices: int,
                           num_blocks: int, rng: np.random.Generator) -> np.ndarray:
-    """(N, J) boolean activity matrix.
+    """(N, J) boolean activity matrix of the two-state chain with marginal
+    rate ``lam`` and persistence ``alpha``.
 
     Block 1 is drawn from the stationary Bernoulli(lam) marginal; each
-    later block follows the chain transitions, independently per device.
+    later block follows the chain transitions, independently per device,
+    with the activation probability from `beta_from`.
     """
+    beta = beta_from(lam, alpha)
     u = rng.random((num_devices, num_blocks))
     trace = np.empty((num_devices, num_blocks), dtype=bool)
-    trace[:, 0] = u[:, 0] < model.lam
+    trace[:, 0] = u[:, 0] < lam
     for j in range(1, num_blocks):
         prev = trace[:, j - 1]
-        trace[:, j] = np.where(prev, u[:, j] < model.alpha, u[:, j] < model.beta)
+        trace[:, j] = np.where(prev, u[:, j] < alpha, u[:, j] < beta)
     return trace
 
 
@@ -224,18 +170,17 @@ def draw_block_truth(activity: np.ndarray, path_losses: np.ndarray,
                       effective_signal=effective)
 
 
-def synthesize_block(truth: BlockTruth, pilots: PilotMatrix,
+def synthesize_block(truth: BlockTruth, pilots: np.ndarray,
                      noise_variance: float,
-                     rng: np.random.Generator) -> ReceivedBlock:
-    """Y = S X + Z with Z i.i.d. CN(0, noise_variance)."""
-    s = pilots.matrix
+                     rng: np.random.Generator) -> np.ndarray:
+    """(L, M) received signal Y = S X + Z with Z i.i.d. CN(0, noise_variance)."""
     x = truth.effective_signal
-    if s.shape[1] != x.shape[0]:
+    if pilots.shape[1] != x.shape[0]:
         raise DimensionMismatch(
-            f"pilot matrix has {s.shape[1]} devices, truth has {x.shape[0]}"
+            f"pilot matrix has {pilots.shape[1]} devices, truth has {x.shape[0]}"
         )
-    z = _complex_gaussian(rng, (s.shape[0], x.shape[1]), noise_variance)
-    return ReceivedBlock(received=s @ x + z, noise=z)
+    z = _complex_gaussian(rng, (pilots.shape[0], x.shape[1]), noise_variance)
+    return pilots @ x + z
 
 
 def generate_scenario(config: ScenarioConfig) -> ScenarioRealization:
@@ -246,12 +191,12 @@ def generate_scenario(config: ScenarioConfig) -> ScenarioRealization:
     consumers cannot perturb one another.
     """
     config.validate()
-    model = config.activity_model()
     pilots = draw_pilot_matrix(
         config.pilot_length, config.num_devices,
         substream(config.rng_seed, STREAM_PILOTS))
     trace = sample_activity_trace(
-        model, config.num_devices, config.num_blocks,
+        config.activity_rate, config.persistence,
+        config.num_devices, config.num_blocks,
         substream(config.rng_seed, STREAM_ACTIVITY))
     rng_ch = substream(config.rng_seed, STREAM_CHANNELS)
     rng_z = substream(config.rng_seed, STREAM_NOISE)

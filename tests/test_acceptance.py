@@ -190,7 +190,7 @@ def test_a5_state_evolution_consistency():
                          noise_variance=noise, path_losses=np.full(n, gamma),
                          rng_seed=314)
     scenario = generate_scenario(cfg)
-    res = run_block(scenario.received[0].received, scenario.pilots.matrix,
+    res = run_block(scenario.received[0], scenario.pilots,
                     None, cfg)
     params = SeParams.from_scenario(cfg, sample_count=100_000)
     trace = se_fixed_point(params, "nosi", rng=substream(105, "a5"))

@@ -74,8 +74,8 @@ class TestIterate:
     def test_identity_denoiser_closed_form(self):
         cfg = small_config()
         scenario = generate_scenario(cfg)
-        y = scenario.received[0].received
-        s = scenario.pilots.matrix
+        y = scenario.received[0]
+        s = scenario.pilots
         n = cfg.num_devices
         state = AmpState(x=np.zeros((n, cfg.num_antennas), complex),
                          residual=y.copy(), tau=estimate_tau(y), t=0)
@@ -89,8 +89,8 @@ class TestIterate:
     def test_zero_denoiser_fixed_point(self):
         cfg = small_config()
         scenario = generate_scenario(cfg)
-        y = scenario.received[0].received
-        s = scenario.pilots.matrix
+        y = scenario.received[0]
+        s = scenario.pilots
         n = cfg.num_devices
         state = AmpState(x=np.zeros((n, cfg.num_antennas), complex),
                          residual=y.copy(), tau=estimate_tau(y), t=0)
@@ -104,8 +104,8 @@ class TestIterate:
         cfg = small_config(num_devices=4, pilot_length=3, num_antennas=2,
                            path_losses=np.array([0.5, 1.0, 1.5, 2.0]))
         scenario = generate_scenario(cfg)
-        y = scenario.received[0].received
-        s = scenario.pilots.matrix
+        y = scenario.received[0]
+        s = scenario.pilots
         prev = SideInfo(
             pseudo_obs=(substream(4, "t").standard_normal((4, 2))
                         + 1j * substream(5, "t").standard_normal((4, 2))),
@@ -149,12 +149,12 @@ class TestIterate:
     def test_non_finite_state_raises(self):
         cfg = small_config()
         scenario = generate_scenario(cfg)
-        y = scenario.received[0].received
+        y = scenario.received[0]
         state = AmpState(x=np.zeros((24, 2), complex), residual=y.copy(),
                          tau=estimate_tau(y), t=0)
         hook = lambda xt: (np.full_like(xt, np.inf), np.ones(24))
         with pytest.raises(NonFiniteState):
-            amp_iterate(state, y, scenario.pilots.matrix, None, cfg,
+            amp_iterate(state, y, scenario.pilots, None, cfg,
                         denoiser_fn=hook)
 
 
@@ -164,7 +164,7 @@ class TestRunBlock:
         # and tau drops to its floor immediately
         y = np.zeros((12, 2), complex)
         scenario = generate_scenario(small_config())
-        res = run_block(y, scenario.pilots.matrix, None,
+        res = run_block(y, scenario.pilots, None,
                         small_config(noise_variance=1e-12))
         np.testing.assert_allclose(np.abs(res.x_hat), 0.0, atol=1e-9)
         assert res.tau_trace[-1] <= res.tau_trace[0] + 1e-12
@@ -172,19 +172,19 @@ class TestRunBlock:
     def test_determinism(self):
         cfg = small_config()
         scenario = generate_scenario(cfg)
-        y = scenario.received[0].received
-        a = run_block(y, scenario.pilots.matrix, None, cfg)
-        b = run_block(y, scenario.pilots.matrix, None, cfg)
+        y = scenario.received[0]
+        a = run_block(y, scenario.pilots, None, cfg)
+        b = run_block(y, scenario.pilots, None, cfg)
         np.testing.assert_array_equal(a.x_hat, b.x_hat)
         np.testing.assert_array_equal(a.tau_trace, b.tau_trace)
 
     def test_pseudo_obs_recomputable(self):
         cfg = small_config()
         scenario = generate_scenario(cfg)
-        res = run_block(scenario.received[0].received, scenario.pilots.matrix,
+        res = run_block(scenario.received[0], scenario.pilots,
                         None, cfg)
         again = pseudo_observations(res.x_hat, res.residual,
-                                    scenario.pilots.matrix)
+                                    scenario.pilots)
         np.testing.assert_array_equal(res.pseudo_obs, again)
 
     def test_tau_settles_downward(self):
@@ -193,7 +193,7 @@ class TestRunBlock:
                              noise_variance=0.1, path_losses=np.full(1000, 1.0),
                              rng_seed=11)
         scenario = generate_scenario(cfg)
-        res = run_block(scenario.received[0].received, scenario.pilots.matrix,
+        res = run_block(scenario.received[0], scenario.pilots,
                         None, cfg)
         trace = res.tau_trace
         # after the initial transient the trace stops increasing materially
@@ -214,26 +214,27 @@ class TestRunTrial:
         trial = run_trial(cfg, variant="si")
         scenario = generate_scenario(cfg)
         for j in range(3):
-            res = run_block(scenario.received[j].received,
-                            scenario.pilots.matrix, None, cfg)
+            res = run_block(scenario.received[j],
+                            scenario.pilots, None, cfg)
             np.testing.assert_array_equal(trial.blocks[j].x_hat, res.x_hat)
             np.testing.assert_array_equal(trial.blocks[j].pseudo_obs,
                                           res.pseudo_obs)
 
-    def test_side_info_chaining_reproducible(self):
+    @pytest.mark.parametrize("variant", ["si", "nosi"])
+    def test_blocks_use_previous_side_info(self, variant):
+        # si conditions each block on the previous block's converged
+        # output; nosi conditions no block on anything
         cfg = small_config(num_blocks=4)
-        trial = run_trial(cfg, variant="si")
-        assert trial.side_info_used[0] is None
-        for j in range(1, 4):
-            si = trial.side_info_used[j]
-            np.testing.assert_array_equal(si.pseudo_obs,
-                                          trial.blocks[j - 1].pseudo_obs)
-            assert si.tau_prev == trial.blocks[j - 1].tau_final
-
-    def test_nosi_never_uses_side_info(self):
-        cfg = small_config(num_blocks=3)
-        trial = run_trial(cfg, variant="nosi")
-        assert all(si is None for si in trial.side_info_used)
+        trial = run_trial(cfg, variant=variant)
+        scenario = generate_scenario(cfg)
+        si = None
+        for j, block in enumerate(trial.blocks):
+            again = run_block(scenario.received[j], scenario.pilots, si, cfg)
+            np.testing.assert_array_equal(block.x_hat, again.x_hat)
+            np.testing.assert_array_equal(block.pseudo_obs, again.pseudo_obs)
+            np.testing.assert_array_equal(block.tau_trace, again.tau_trace)
+            if variant == "si":
+                si = block.side_info()
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_variants_match_separate_trials(self, m):
@@ -270,7 +271,7 @@ class TestAsymptotics:
                              noise_variance=0.1, path_losses=np.full(2000, 1.0),
                              rng_seed=29)
         scenario = generate_scenario(cfg)
-        res = run_block(scenario.received[0].received, scenario.pilots.matrix,
+        res = run_block(scenario.received[0], scenario.pilots,
                         None, cfg)
         err = res.pseudo_obs - scenario.blocks[0].effective_signal
         scale = np.sqrt(res.tau_final ** 2 / 2.0)
@@ -284,8 +285,8 @@ class TestAsymptotics:
                              noise_variance=0.1, path_losses=np.full(2000, 1.0),
                              rng_seed=29)
         scenario = generate_scenario(cfg)
-        y = scenario.received[0].received
-        s = scenario.pilots.matrix
+        y = scenario.received[0]
+        s = scenario.pilots
 
         def no_onsager(xt):
             out, _ = denoise_rows(xt, cfg.path_losses, state.tau,

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siamp import (BlockDetection, DenoiserParams, InvalidConfig, SideInfo,
                    aggregate_slot_counts, beta_from, block_detection,
@@ -160,7 +164,7 @@ class TestMetrics:
 
     def test_empty_denominators_flagged(self):
         metrics = compute_metrics(np.array([True, True]), np.array([True, True]))
-        assert not metrics.p_fa_defined
+        assert metrics.num_inactive == 0
         assert np.isnan(metrics.p_fa)
         assert metrics.p_md == 0.0
 
@@ -185,6 +189,13 @@ def toy_block(rng, n=400, m=1):
     pseudo = x + tau * np.sqrt(0.5) * (rng.standard_normal((n, m))
                                        + 1j * rng.standard_normal((n, m)))
     return block_detection(pseudo, tau, gamma, alpha, beta, activity)
+
+
+def pool_blocks(dets, grid):
+    """One slot's curve from the sweep counts of one block per trial."""
+    fa, md, n_inactive, n_active = (
+        np.array(c) for c in zip(*(sweep_block_counts(d, grid) for d in dets)))
+    return aggregate_slot_counts(fa, md, n_inactive, n_active, grid)
 
 
 class TestSweep:
@@ -213,8 +224,7 @@ class TestSweep:
         rng = np.random.default_rng(8)
         grid = np.linspace(-15, 15, 61)
         trials = [[toy_block(rng), toy_block(rng)] for _ in range(10)]
-        curves = [aggregate_slot_counts([sweep_block_counts(trial[j], grid)
-                                         for trial in trials], grid)
+        curves = [pool_blocks([trial[j] for trial in trials], grid)
                   for j in range(2)]
         for curve in curves:
             # both rates are monotone in l, so P_MD cannot rise where P_FA
@@ -225,8 +235,7 @@ class TestSweep:
     def test_interpolation_at_target(self):
         rng = np.random.default_rng(9)
         grid = np.linspace(-15, 15, 121)
-        counts = [sweep_block_counts(toy_block(rng), grid) for _ in range(20)]
-        curve = aggregate_slot_counts(counts, grid)
+        curve = pool_blocks([toy_block(rng) for _ in range(20)], grid)
         l_star = curve.l_at(0.1)
         assert grid[0] <= l_star <= grid[-1]
         pmd = np.interp(l_star, grid, curve.p_md)
@@ -235,3 +244,62 @@ class TestSweep:
         assert se > 0.0
         with pytest.raises(InvalidConfig):
             curve.l_at(2.0)
+
+
+def loop_reference(slot_counts, n_l):
+    """Pooled rates and per-trial standard errors, one trial at a time:
+    running float sums, and a per-trial rate row that is NaN for an empty
+    denominator."""
+    fa, md = np.zeros(n_l), np.zeros(n_l)
+    n_inact = n_act = 0
+    rates_fa, rates_md = [], []
+    for fa_i, md_i, ninact_i, nact_i in slot_counts:
+        fa += fa_i
+        md += md_i
+        n_inact += ninact_i
+        n_act += nact_i
+        rates_fa.append(fa_i / ninact_i if ninact_i > 0 else np.full(n_l, np.nan))
+        rates_md.append(md_i / nact_i if nact_i > 0 else np.full(n_l, np.nan))
+    stderr = []
+    for rates in (np.asarray(rates_fa), np.asarray(rates_md)):
+        valid = np.sum(~np.isnan(rates), axis=0)
+        with warnings.catch_warnings(), np.errstate(invalid="ignore",
+                                                    divide="ignore"):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            se = np.nanstd(rates, axis=0, ddof=1) / np.sqrt(valid)
+        stderr.append(np.where(valid > 1, se, np.nan))
+    p_fa = fa / n_inact if n_inact > 0 else np.full(n_l, np.nan)
+    p_md = md / n_act if n_act > 0 else np.full(n_l, np.nan)
+    return p_fa, p_md, stderr[0], stderr[1]
+
+
+@st.composite
+def slot_counts(draw):
+    """Per-trial sweep counts of one slot; device counts include zero, so
+    some trials have no inactive or no active device."""
+    n_l = draw(st.integers(1, 5))
+    trials = []
+    for _ in range(draw(st.integers(1, 8))):
+        n_inactive = draw(st.integers(0, 30))
+        n_active = draw(st.integers(0, 6))
+        fa = draw(st.lists(st.integers(0, n_inactive), min_size=n_l,
+                           max_size=n_l))
+        md = draw(st.lists(st.integers(0, n_active), min_size=n_l,
+                           max_size=n_l))
+        trials.append((np.array(fa), np.array(md), n_inactive, n_active))
+    return trials, n_l
+
+
+@settings(max_examples=300, deadline=None)
+@given(slot_counts())
+def test_pooling_matches_loop_reference(case):
+    trials, n_l = case
+    grid = np.linspace(-1.0, 1.0, n_l)
+    fa, md, n_inactive, n_active = (np.array(c) for c in zip(*trials))
+    curve = aggregate_slot_counts(fa, md, n_inactive, n_active, grid)
+    expected = loop_reference(trials, n_l)
+    got = (curve.p_fa, curve.p_md, curve.se_p_fa, curve.se_p_md)
+    for a, b in zip(got, expected):
+        # equal values, NaN where the reference has NaN
+        np.testing.assert_array_equal(a, b)
+    assert curve.num_trials == len(trials)

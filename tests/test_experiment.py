@@ -1,3 +1,4 @@
+import csv
 import os
 from dataclasses import replace
 
@@ -10,8 +11,7 @@ from siamp import amp, experiment, model
 from siamp.experiment import (_run_trial_counts, annulus_gains,
                               chained_se_traces, default_l_grid,
                               denoiser_response_curve,
-                              detector_threshold_curve, read_roc_csv,
-                              trial_seed)
+                              detector_threshold_curve, trial_seed)
 from siamp.streams import substream
 
 
@@ -96,6 +96,13 @@ class TestParseConfig:
             spec_from_options(desk_options(se_sample_count="1"))
         assert any("se_sample_count" in v for v in exc.value.violations)
 
+    @pytest.mark.parametrize("grid", ["20:-20:81", "0,nan"])
+    def test_unordered_or_nonfinite_l_grid_rejected(self, grid):
+        # per-trial rates are interpolated in l, which needs an increasing grid
+        with pytest.raises(ValidationError) as exc:
+            spec_from_options(desk_options(l_grid=grid))
+        assert any("l_grid" in v for v in exc.value.violations)
+
 
 class TestAnnulusGains:
     def test_radius_bounds_respected(self):
@@ -173,8 +180,12 @@ class TestRunExperiment:
         # estimated and swept once
         assert calls["run_block"] == 3 * len(spec.variants) - 1
         assert calls["sweep_block_counts"] == 3 * len(spec.variants) - 1
+        first = out[spec.variants[0]]
         for variant in spec.variants[1:]:
-            assert out[variant][0]["counts"] is out[spec.variants[0]][0]["counts"]
+            for key in ("fa", "md", "n_inactive", "n_active", "nmse",
+                        "tau_final"):
+                np.testing.assert_array_equal(out[variant][key][0],
+                                              first[key][0])
 
     def test_nosi_fixed_point_solved_once(self, monkeypatch):
         solved = []
@@ -207,10 +218,17 @@ class TestRunExperiment:
         spec = spec_from_options(desk_options(num_trials="3"))
         result = run_experiment(spec)
         paths = emit_csv(result, tmp_path)
-        loaded = read_roc_csv(paths["roc"])
+        loaded = {}
+        with open(paths["roc"], newline="") as fh:
+            for row in csv.DictReader(fh):
+                entry = loaded.setdefault((int(row["slot_j"]), row["variant"]),
+                                          {"p_fa": [], "p_md": [], "se_p_md": []})
+                for key, column in (("p_fa", "P_FA"), ("p_md", "P_MD"),
+                                    ("se_p_md", "se_P_MD")):
+                    entry[key].append(float(row[column]))
         for variant in spec.variants:
             for j, curve in enumerate(result.curves[variant]):
-                entry = loaded[(j + 1, variant)]
+                entry = {k: np.array(v) for k, v in loaded[(j + 1, variant)].items()}
                 np.testing.assert_array_equal(entry["p_fa"], curve.p_fa)
                 np.testing.assert_array_equal(entry["p_md"], curve.p_md)
                 nan_mask = np.isnan(curve.se_p_md)

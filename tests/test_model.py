@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from siamp import (InvalidConfig, MarkovActivityModel, ScenarioConfig,
-                   beta_from, draw_pilot_matrix, generate_scenario,
-                   path_loss_linear, sample_activity_trace, synthesize_block)
+from siamp import (InvalidConfig, ScenarioConfig, beta_from,
+                   draw_pilot_matrix, generate_scenario, path_loss_linear,
+                   sample_activity_trace, synthesize_block)
 from siamp.errors import DimensionMismatch
 from siamp.model import draw_block_truth
 from siamp.streams import substream
@@ -39,6 +39,11 @@ class TestBetaFrom:
         with pytest.raises(InvalidConfig):
             beta_from(1.0, 0.5)
 
+    def test_stationarity_identity(self):
+        lam, alpha = 0.3, 0.8
+        beta = beta_from(lam, alpha)
+        assert alpha * lam + beta * (1 - lam) == pytest.approx(lam, abs=1e-15)
+
 
 class TestPathLoss:
     def test_one_km_reference(self):
@@ -60,32 +65,14 @@ class TestPathLoss:
             path_loss_linear(-1.0)
 
 
-class TestMarkovActivityModel:
-    def test_stationarity_enforced(self):
-        with pytest.raises(InvalidConfig):
-            MarkovActivityModel(lam=0.1, alpha=0.46, beta=0.2)
-
-    def test_transition_rows_sum_to_one(self):
-        model = MarkovActivityModel.from_rates(0.1, 0.46)
-        np.testing.assert_allclose(model.transition_matrix().sum(axis=1), 1.0,
-                                   atol=1e-15)
-
-    def test_stationarity_identity(self):
-        model = MarkovActivityModel.from_rates(0.3, 0.8)
-        assert model.alpha * model.lam + model.beta * (1 - model.lam) == \
-            pytest.approx(model.lam, abs=1e-15)
-
-
 class TestActivityTrace:
     def test_absorbing_persistence(self):
         # alpha=1 forces beta=0: activity frozen at the first block's draw
-        model = MarkovActivityModel.from_rates(0.1, 1.0)
-        trace = sample_activity_trace(model, 500, 6, substream(0, "act"))
+        trace = sample_activity_trace(0.1, 1.0, 500, 6, substream(0, "act"))
         assert np.all(trace == trace[:, [0]])
 
     def test_independence_case_autocorrelation(self):
-        model = MarkovActivityModel.from_rates(0.1, 0.1)
-        trace = sample_activity_trace(model, 100_000, 11, substream(1, "act"))
+        trace = sample_activity_trace(0.1, 0.1, 100_000, 11, substream(1, "act"))
         a = trace[:, :-1].astype(float).ravel()
         b = trace[:, 1:].astype(float).ravel()
         corr = np.corrcoef(a, b)[0, 1]
@@ -94,9 +81,9 @@ class TestActivityTrace:
 
     def test_marginal_and_transition_frequencies(self):
         lam, alpha = 0.1, 0.46
-        model = MarkovActivityModel.from_rates(lam, alpha)
+        beta = beta_from(lam, alpha)
         n, j = 100_000, 10
-        trace = sample_activity_trace(model, n, j, substream(2, "act"))
+        trace = sample_activity_trace(lam, alpha, n, j, substream(2, "act"))
         marginal = trace.mean()
         sd_marginal = np.sqrt(lam * (1 - lam) / trace.size)
         assert abs(marginal - lam) < 3 * sd_marginal
@@ -106,12 +93,11 @@ class TestActivityTrace:
         sd_stay = np.sqrt(alpha * (1 - alpha) / prev.sum())
         assert abs(stay - alpha) < 3 * sd_stay
         rise = nxt[~prev].mean()
-        sd_rise = np.sqrt(model.beta * (1 - model.beta) / (~prev).sum())
-        assert abs(rise - model.beta) < 3 * sd_rise
+        sd_rise = np.sqrt(beta * (1 - beta) / (~prev).sum())
+        assert abs(rise - beta) < 3 * sd_rise
 
     def test_first_block_is_stationary(self):
-        model = MarkovActivityModel.from_rates(0.2, 0.7)
-        trace = sample_activity_trace(model, 200_000, 1, substream(3, "act"))
+        trace = sample_activity_trace(0.2, 0.7, 200_000, 1, substream(3, "act"))
         sd = np.sqrt(0.2 * 0.8 / 200_000)
         assert abs(trace.mean() - 0.2) < 3 * sd
 
@@ -119,7 +105,7 @@ class TestActivityTrace:
 class TestPilotsAndSynthesis:
     def test_pilot_entry_variance(self):
         pilots = draw_pilot_matrix(64, 2000, substream(4, "pil"))
-        emp = np.mean(np.abs(pilots.matrix) ** 2)
+        emp = np.mean(np.abs(pilots) ** 2)
         # per-entry variance 1/L, chi-square concentration over 128k entries
         assert emp == pytest.approx(1 / 64, rel=0.02)
 
@@ -129,7 +115,7 @@ class TestPilotsAndSynthesis:
         truth = draw_block_truth(activity, np.ones(10), 3, rng)
         pilots = draw_pilot_matrix(8, 10, rng)
         block = synthesize_block(truth, pilots, 1e-300, rng)
-        np.testing.assert_allclose(np.abs(block.received), 0.0, atol=1e-140)
+        np.testing.assert_allclose(np.abs(block), 0.0, atol=1e-140)
 
     def test_single_active_device_rank_one(self):
         rng = substream(6, "syn")
@@ -138,20 +124,25 @@ class TestPilotsAndSynthesis:
         truth = draw_block_truth(activity, np.ones(10), 3, rng)
         pilots = draw_pilot_matrix(8, 10, rng)
         block = synthesize_block(truth, pilots, 1e-300, rng)
-        expected = np.outer(pilots.matrix[:, 4], truth.channels[4])
-        np.testing.assert_allclose(block.received, expected, atol=1e-130)
+        expected = np.outer(pilots[:, 4], truth.channels[4])
+        np.testing.assert_allclose(block, expected, atol=1e-130)
 
     def test_received_matches_direct_sum(self):
         rng = substream(7, "syn")
         activity = rng.random(12) < 0.4
         truth = draw_block_truth(activity, rng.uniform(0.5, 2.0, 12), 2, rng)
         pilots = draw_pilot_matrix(9, 12, rng)
+        noise_state = rng.bit_generator.state
         block = synthesize_block(truth, pilots, 0.3, rng)
-        direct = block.noise.copy()
+        # replay the noise draw: real parts first, then imaginary parts
+        rng.bit_generator.state = noise_state
+        re = rng.standard_normal((9, 2))
+        im = rng.standard_normal((9, 2))
+        direct = np.sqrt(0.3 / 2) * (re + 1j * im)
         for n in range(12):
             if activity[n]:
-                direct += np.outer(pilots.matrix[:, n], truth.channels[n])
-        np.testing.assert_allclose(block.received, direct, atol=1e-12)
+                direct += np.outer(pilots[:, n], truth.channels[n])
+        np.testing.assert_allclose(block, direct, atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         rng = substream(8, "syn")
@@ -171,24 +162,26 @@ class TestScenario:
     def test_reproducibility_bit_identical(self):
         a = generate_scenario(desk_config())
         b = generate_scenario(desk_config())
-        np.testing.assert_array_equal(a.pilots.matrix, b.pilots.matrix)
+        np.testing.assert_array_equal(a.pilots, b.pilots)
         for ta, tb in zip(a.blocks, b.blocks):
             np.testing.assert_array_equal(ta.channels, tb.channels)
             np.testing.assert_array_equal(ta.activity, tb.activity)
         for ra, rb in zip(a.received, b.received):
-            np.testing.assert_array_equal(ra.received, rb.received)
+            np.testing.assert_array_equal(ra, rb)
 
     def test_seed_changes_realization(self):
         a = generate_scenario(desk_config())
         b = generate_scenario(desk_config(rng_seed=124))
-        assert not np.array_equal(a.pilots.matrix, b.pilots.matrix)
+        assert not np.array_equal(a.pilots, b.pilots)
 
     def test_noise_energy(self):
         cfg = desk_config(num_devices=4, pilot_length=300, num_antennas=8,
                           num_blocks=20, noise_variance=0.37,
                           path_losses=np.full(4, 1.0))
         scenario = generate_scenario(cfg)
-        z = np.concatenate([b.noise.ravel() for b in scenario.received])
+        z = np.concatenate([(y - scenario.pilots @ truth.effective_signal).ravel()
+                            for y, truth in zip(scenario.received,
+                                                scenario.blocks)])
         emp = np.mean(np.abs(z) ** 2)
         sd = 0.37 / np.sqrt(z.size)
         assert abs(emp - 0.37) < 4 * sd

@@ -134,6 +134,18 @@ def test_desk_preset_traces_converge(preset):
             assert len(trace.tau_sq) <= 20
 
 
+@pytest.mark.parametrize("preset", ["fig3-desk", "fig4-desk"])
+def test_desk_preset_si_below_nosi_every_later_slot(preset):
+    # si and nosi traces replay one common draw, so the side-information
+    # gain (about 1% in tau^2) is not buried in Monte Carlo scatter
+    for seed in (1, 2, 3):
+        traces = chained_se_traces(spec_from_options({"preset": preset,
+                                                      "rng_seed": str(seed)}))
+        nosi = traces["nosi"][0].fixed_point
+        for j, trace in enumerate(traces["si"][1:], start=2):
+            assert trace.fixed_point < nosi, f"{preset} seed {seed} slot {j}"
+
+
 @pytest.mark.slow
 def test_desk_preset_tau_matches_fixed_point():
     # the converged empirical noise level of a single desk-preset block
@@ -144,8 +156,8 @@ def test_desk_preset_tau_matches_fixed_point():
     scenario = replace(spec_from_options({"preset": "fig3-desk"}).scenario,
                        rng_seed=0, num_blocks=1)
     realization = generate_scenario(scenario)
-    res = run_block(realization.received[0].received,
-                    realization.pilots.matrix, None, scenario)
+    res = run_block(realization.received[0],
+                    realization.pilots, None, scenario)
     params = SeParams.from_scenario(scenario, sample_count=100_000)
     trace = se_fixed_point(params, "nosi", rng=substream(12, "se"))
     predicted = np.sqrt(trace.fixed_point)
