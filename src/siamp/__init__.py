@@ -22,10 +22,10 @@ from .errors import (DimensionMismatch, InvalidConfig, NonFiniteState,
                      ParseError, SiAmpError, ValidationError)
 from .experiment import (AggregateResult, ExperimentSpec, annulus_gains,
                          default_l_grid, emit_csv, parse_config,
-                         run_experiment, spec_from_options)
+                         run_experiment, spec_from_options, write_tables)
 from .model import (BlockTruth, ScenarioConfig, ScenarioRealization,
-                    beta_from, draw_pilot_matrix, dump_trace_csv,
-                    generate_scenario, path_loss_linear,
-                    sample_activity_trace, synthesize_block)
+                    beta_from, draw_pilot_matrix, generate_scenario,
+                    path_loss_linear, sample_activity_trace,
+                    synthesize_block, trace_table)
 from .state_evolution import SeParams, SeTrace, se_fixed_point, se_step
 from .streams import seed_sequence, substream

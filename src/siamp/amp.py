@@ -15,6 +15,11 @@ from . import detector, model
 from .denoiser import SideInfo, denoise_rows
 from .errors import DimensionMismatch, NonFiniteState
 
+# stopping rule of every block: converged once the relative estimate
+# change drops below CONVERGENCE_TOL, stopped after MAX_ITERS iterations
+MAX_ITERS = 50
+CONVERGENCE_TOL = 1e-6
+
 # guards the relative-change convergence test against a zero baseline
 _NORM_FLOOR = 1e-30
 
@@ -132,7 +137,7 @@ def run_block(y: np.ndarray, pilots: np.ndarray, si: SideInfo | None,
     delta_trace = []
     res_trace = []
     converged = False
-    for _ in range(config.amp_max_iters):
+    for _ in range(MAX_ITERS):
         new = amp_iterate(state, y, pilots, si, config, denoiser_fn)
         change = (np.linalg.norm(new.x - state.x)
                   / max(np.linalg.norm(state.x), _NORM_FLOOR))
@@ -140,7 +145,7 @@ def run_block(y: np.ndarray, pilots: np.ndarray, si: SideInfo | None,
         delta_trace.append(change)
         res_trace.append(np.linalg.norm(new.residual))
         state = new
-        if change < config.amp_convergence_tol:
+        if change < CONVERGENCE_TOL:
             converged = True
             break
     final_pseudo = pseudo_observations(state.x, state.residual, pilots)

@@ -15,17 +15,16 @@ Exit status is nonzero on any parse, validation or oracle failure.
 """
 
 import argparse
-import os
 import sys
 
 import numpy as np
 
 from .errors import SiAmpError
-from .experiment import (_write_csv, _write_roc_csv, _write_se_trace_csv,
-                         chained_se_traces, denoiser_response_curve,
+from .experiment import (chained_se_traces, denoiser_response_curve,
                          detector_threshold_curve, emit_csv,
-                         read_config_file, run_experiment, spec_from_options)
-from .model import generate_scenario, dump_trace_csv
+                         read_config_file, roc_table, run_experiment,
+                         se_trace_table, spec_from_options, write_tables)
+from .model import generate_scenario, trace_table
 from .streams import substream
 
 # parameter family of the response/threshold curve examples
@@ -37,22 +36,17 @@ def _load_spec(args):
     # overrides are injected before materialization so that a --seed
     # change also re-draws seed-derived quantities (device placement)
     if args.config is not None:
-        options, _ = read_config_file(args.config)
+        options = read_config_file(args.config)
         source = str(args.config)
     elif args.preset is not None:
         options, source = {}, "--preset"
     else:
         raise SiAmpError("either a config file or --preset is required")
-    if args.preset is not None:
-        options["preset"] = args.preset
-    if args.seed is not None:
-        options["rng_seed"] = str(args.seed)
-    if args.trials is not None:
-        options["num_trials"] = str(args.trials)
-    if args.parallelism is not None:
-        options["parallelism"] = str(args.parallelism)
-    if args.out_dir is not None:
-        options["out_dir"] = args.out_dir
+    # command-line values are typed already and pass through unconverted
+    flags = {"preset": args.preset, "rng_seed": args.seed,
+             "num_trials": args.trials, "parallelism": args.parallelism,
+             "out_dir": args.out_dir}
+    options.update({k: v for k, v in flags.items() if v is not None})
     return spec_from_options(options, source=source)
 
 
@@ -67,13 +61,15 @@ def _add_common(parser):
     parser.add_argument("--parallelism", type=int, default=None)
 
 
+def _print_paths(paths):
+    for name, path in sorted(paths.items()):
+        print(f"{name}: {path}")
+
+
 def _cmd_simulate(args) -> int:
     spec = _load_spec(args)
     result = run_experiment(spec)
-    out_dir = spec.out_dir or "."
-    paths = emit_csv(result, out_dir)
-    for name, path in sorted(paths.items()):
-        print(f"{name}: {path}")
+    _print_paths(emit_csv(result, spec.out_dir or "."))
     print(f"completed {result.metadata['completed_trials']} trials "
           f"in {result.metadata['wall_time_s']:.1f}s")
     return 0
@@ -82,55 +78,40 @@ def _cmd_simulate(args) -> int:
 def _cmd_roc(args) -> int:
     spec = _load_spec(args)
     result = run_experiment(spec)
-    out_dir = spec.out_dir or "."
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "roc.csv")
-    _write_roc_csv(path, spec.variants, result.curves)
-    print(f"roc: {path}")
+    _print_paths(write_tables(spec.out_dir or ".",
+                              {"roc": roc_table(result.curves)}))
     return 0
 
 
 def _cmd_se_trace(args) -> int:
     spec = _load_spec(args)
-    out_dir = spec.out_dir or "."
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "se_trace.csv")
-    _write_se_trace_csv(path, spec.variants, chained_se_traces(spec))
-    print(f"se_trace: {path}")
+    _print_paths(write_tables(spec.out_dir or ".", {
+        "se_trace": se_trace_table(chained_se_traces(spec))}))
     return 0
 
 
 def _cmd_denoiser_curve(args) -> int:
     grid = np.linspace(0.0, args.max_input, args.points)
-    rows = denoiser_response_curve(
+    table = denoiser_response_curve(
         prev_magnitudes=[float(v) for v in args.prev.split(",")],
         grid=grid, lam=0.1, **_CURVE_DEFAULTS)
-    os.makedirs(args.out_dir, exist_ok=True)
-    path = os.path.join(args.out_dir, "denoiser_curve.csv")
-    _write_csv(path, ["variant", "prev_abs", "input_abs", "output_abs"], rows)
-    print(f"denoiser_curve: {path}")
+    _print_paths(write_tables(args.out_dir, {"denoiser_curve": table}))
     return 0
 
 
 def _cmd_detector_curve(args) -> int:
     prev_grid = np.linspace(0.0, args.max_prev, args.points)
-    rows, lower, upper = detector_threshold_curve(
+    table, lower, upper = detector_threshold_curve(
         l=args.l, prev_grid=prev_grid, **_CURVE_DEFAULTS)
-    os.makedirs(args.out_dir, exist_ok=True)
-    path = os.path.join(args.out_dir, "threshold_curve.csv")
-    _write_csv(path, ["prev_abs", "threshold_si", "threshold_nosi"], rows)
-    print(f"threshold_curve: {path}")
+    _print_paths(write_tables(args.out_dir, {"threshold_curve": table}))
     print(f"limits: lower={lower:.17g} upper={upper:.17g}")
     return 0
 
 
 def _cmd_dump_traces(args) -> int:
     spec = _load_spec(args)
-    realization = generate_scenario(spec.scenario)
-    os.makedirs(spec.out_dir or ".", exist_ok=True)
-    path = os.path.join(spec.out_dir or ".", "traces.csv")
-    dump_trace_csv(realization, path)
-    print(f"traces: {path}")
+    table = trace_table(generate_scenario(spec.scenario))
+    _print_paths(write_tables(spec.out_dir or ".", {"traces": table}))
     return 0
 
 
@@ -138,17 +119,13 @@ def _cmd_amp_trace(args) -> int:
     from .amp import run_trial
     spec = _load_spec(args)
     trial = run_trial(spec.scenario, variant=args.variant)
-    rows = []
-    for j, block in enumerate(trial.blocks):
-        for t in range(len(block.delta_x_trace)):
-            rows.append((j + 1, t + 1, block.tau_trace[t + 1],
-                         block.residual_fro_trace[t],
-                         block.delta_x_trace[t]))
-    out_dir = spec.out_dir or "."
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "amp_trace.csv")
-    _write_csv(path, ["block", "iter", "tau", "residual_fro", "delta_X"], rows)
-    print(f"amp_trace: {path}")
+    rows = [(j + 1, t + 1, block.tau_trace[t + 1], block.residual_fro_trace[t],
+             block.delta_x_trace[t])
+            for j, block in enumerate(trial.blocks)
+            for t in range(len(block.delta_x_trace))]
+    header = ["block", "iter", "tau", "residual_fro", "delta_X"]
+    _print_paths(write_tables(spec.out_dir or ".",
+                              {"amp_trace": (header, rows)}))
     return 0
 
 

@@ -2,13 +2,15 @@
 trial execution, aggregation and CSV emission.
 
 A config is a flat key = value text file (or a named preset).  Physical
-presets place devices uniformly in an annulus and convert transmit power,
-noise spectral density and bandwidth into per-device effective channel
-gains normalized to unit noise variance; the numerical core only ever
-sees linear effective units.
+presets place devices uniformly in the paper's fixed annulus and convert
+its transmit power, noise spectral density and bandwidth into per-device
+effective channel gains normalized to unit noise variance; the numerical
+core only ever sees linear effective units.  Every CSV is a (header,
+rows) table, written by `write_tables`.
 """
 
 import json
+import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -20,7 +22,7 @@ from . import __version__
 from .amp import run_trial_variants
 from .denoiser import SideInfo, denoise_rows, log_odds_terms
 from .detector import _rate_stderr, aggregate_slot_counts, sweep_block_counts
-from .errors import InvalidConfig, ParseError, ValidationError
+from .errors import ParseError, SiAmpError, ValidationError
 from .model import ScenarioConfig, path_loss_linear
 from .state_evolution import SeParams, SeTrace, se_fixed_point
 from .streams import seed_sequence, substream
@@ -31,32 +33,33 @@ STREAM_SE_TRACE = "se-trace"
 
 VARIANTS = ("si", "nosi")
 
+# the cell of every physical placement
+CELL_RADIUS_KM = 1.0
+MIN_RADIUS_KM = 0.05
+TX_POWER_DBM = 23.0
+NOISE_PSD_DBM_HZ = -169.0
+BANDWIDTH_HZ = 1e7
+
 
 def default_l_grid() -> np.ndarray:
     """Threshold sweep wide enough to cover both tradeoff extremes."""
     return np.linspace(-40.0, 40.0, 161)
 
 
-def annulus_gains(num_devices: int, rng: np.random.Generator,
-                  cell_radius_km: float = 1.0, min_radius_km: float = 0.05,
-                  tx_power_dbm: float = 23.0, noise_psd_dbm_hz: float = -169.0,
-                  bandwidth_hz: float = 1e7) -> np.ndarray:
-    """Effective per-device gains for uniform placement in an annulus.
+def annulus_gains(num_devices: int, rng: np.random.Generator) -> np.ndarray:
+    """Effective per-device gains for uniform placement in the cell annulus.
 
     Gains are path loss times transmit power over the thermal noise
     power, so the matching noise variance is exactly 1.  The inner radius
     keeps the path-loss law away from its d -> 0 singularity.
     """
-    if not 0.0 < min_radius_km < cell_radius_km:
-        raise InvalidConfig("need 0 < min_radius_km < cell_radius_km")
     # uniform over the annulus area => cdf proportional to r^2
     u = rng.random(num_devices)
-    radii = np.sqrt(min_radius_km ** 2
-                    + u * (cell_radius_km ** 2 - min_radius_km ** 2))
-    tx_watt = 10.0 ** ((tx_power_dbm - 30.0) / 10.0)
-    noise_watt = 10.0 ** ((noise_psd_dbm_hz - 30.0) / 10.0) * bandwidth_hz
-    gains = np.array([path_loss_linear(r) for r in radii]) * tx_watt / noise_watt
-    return gains
+    radii = np.sqrt(MIN_RADIUS_KM ** 2
+                    + u * (CELL_RADIUS_KM ** 2 - MIN_RADIUS_KM ** 2))
+    tx_watt = 10.0 ** ((TX_POWER_DBM - 30.0) / 10.0)
+    noise_watt = 10.0 ** ((NOISE_PSD_DBM_HZ - 30.0) / 10.0) * BANDWIDTH_HZ
+    return np.array([path_loss_linear(r) for r in radii]) * tx_watt / noise_watt
 
 
 @dataclass(frozen=True)
@@ -81,8 +84,10 @@ class ExperimentSpec:
         elif not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
             # per-trial rates are interpolated in l, which needs this order
             out.append("l_grid must be finite and strictly increasing")
-        if not self.variants or not set(self.variants) <= set(VARIANTS):
-            out.append(f"variants must be a nonempty subset of {VARIANTS}")
+        if (not self.variants or not set(self.variants) <= set(VARIANTS)
+                or len(set(self.variants)) != len(self.variants)):
+            out.append(f"variants must be distinct and a nonempty subset "
+                       f"of {VARIANTS}")
         if self.parallelism < 1:
             out.append("parallelism must be >= 1")
         if self.se_sample_count < 2:
@@ -101,9 +106,7 @@ class ExperimentSpec:
 
 _PAPER_COMMON = dict(
     num_devices=4000, num_antennas=1, num_blocks=10, activity_rate=0.1,
-    persistence=0.46, placement="annulus", cell_radius_km=1.0,
-    min_radius_km=0.05, tx_power_dbm=23.0, noise_psd_dbm_hz=-169.0,
-    bandwidth_hz=1e7, num_trials=50, rng_seed=12345,
+    persistence=0.46, placement="annulus", num_trials=50, rng_seed=12345,
 )
 
 PRESETS = {
@@ -117,22 +120,9 @@ PRESETS = {
                       num_antennas=2, num_blocks=5, num_trials=200),
 }
 
-_INT_KEYS = {"num_devices", "pilot_length", "num_antennas", "num_blocks",
-             "rng_seed", "amp_max_iters", "num_trials", "parallelism",
-             "se_sample_count"}
-_FLOAT_KEYS = {"activity_rate", "persistence", "noise_variance", "gamma",
-               "amp_convergence_tol", "cell_radius_km", "min_radius_km",
-               "tx_power_dbm", "noise_psd_dbm_hz", "bandwidth_hz"}
-_STR_KEYS = {"preset", "placement", "variants", "l_grid", "out_dir"}
-_KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
-
-_ANNULUS_KEYS = ("cell_radius_km", "min_radius_km", "tx_power_dbm",
-                 "noise_psd_dbm_hz", "bandwidth_hz")
-
 _DEFAULTS = dict(
     num_antennas=1, num_blocks=1, activity_rate=0.1, persistence=0.1,
-    noise_variance=1.0, rng_seed=0, amp_max_iters=50,
-    amp_convergence_tol=1e-6, num_trials=1, parallelism=1,
+    noise_variance=1.0, rng_seed=0, num_trials=1, parallelism=1,
     se_sample_count=20_000, placement="gamma", variants="si,nosi",
     out_dir=None, l_grid=None,
 )
@@ -148,11 +138,21 @@ def _parse_l_grid(text: str) -> np.ndarray:
     return np.array([float(v) for v in text.split(",") if v.strip()])
 
 
-def read_config_file(path):
-    """Parse a key = value file into (values, line numbers), both by key.
+# every config key, with the converter of its string form
+_KEYS = {
+    **dict.fromkeys(("num_devices", "pilot_length", "num_antennas",
+                     "num_blocks", "rng_seed", "num_trials", "parallelism",
+                     "se_sample_count"), int),
+    **dict.fromkeys(("activity_rate", "persistence", "noise_variance",
+                     "gamma"), float),
+    **dict.fromkeys(("preset", "placement", "variants", "out_dir"), str),
+    "l_grid": _parse_l_grid,
+}
 
-    Values stay unconverted strings; the line numbers feed error
-    messages."""
+
+def read_config_file(path) -> dict:
+    """Parse a key = value file into unconverted string values by key;
+    `spec_from_options` checks and converts them."""
     raw = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -163,20 +163,19 @@ def read_config_file(path):
                 raise ParseError(f"{path}:{lineno}: expected 'key = value', "
                                  f"got {stripped!r}")
             key, value = (s.strip() for s in stripped.split("=", 1))
-            if key not in _KNOWN_KEYS:
-                raise ParseError(f"{path}:{lineno}: unknown key {key!r}")
             if key in raw:
                 raise ParseError(f"{path}:{lineno}: duplicate key {key!r}")
-            raw[key] = (value, lineno)
-    return {k: v for k, (v, _) in raw.items()}, {k: ln for k, (_, ln) in raw.items()}
+            raw[key] = value
+    return raw
 
 
 def spec_from_options(options: dict, source: str = "<options>") -> ExperimentSpec:
     """Build and validate an ExperimentSpec from a flat option dict.
 
     Preset values are applied first, explicit options override them.
-    Raises ParseError on malformed values and ValidationError listing
-    every violated invariant.
+    String values are converted by the key's converter; other values are
+    taken as they are.  Raises ParseError on unknown keys and malformed
+    values, and ValidationError listing every violated invariant.
     """
     merged = dict(_DEFAULTS)
     preset = options.get("preset")
@@ -189,18 +188,10 @@ def spec_from_options(options: dict, source: str = "<options>") -> ExperimentSpe
 
     converted = {}
     for key, value in merged.items():
-        if value is None or not isinstance(value, str):
-            converted[key] = value
-            continue
+        if key not in _KEYS:
+            raise ParseError(f"{source}: unknown key {key!r}")
         try:
-            if key in _INT_KEYS:
-                converted[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                converted[key] = float(value)
-            elif key == "l_grid":
-                converted[key] = _parse_l_grid(value)
-            else:
-                converted[key] = value
+            converted[key] = _KEYS[key](value) if isinstance(value, str) else value
         except ValueError as exc:
             raise ParseError(f"{source}: field {key!r}: {exc}") from None
 
@@ -214,10 +205,8 @@ def spec_from_options(options: dict, source: str = "<options>") -> ExperimentSpe
     placement = converted.get("placement", "gamma")
     noise_variance = converted.get("noise_variance", 1.0)
     if placement == "annulus":
-        gains = annulus_gains(
-            converted["num_devices"],
-            substream(converted["rng_seed"], STREAM_PLACEMENT),
-            **{k: converted[k] for k in _ANNULUS_KEYS if k in converted})
+        gains = annulus_gains(converted["num_devices"],
+                              substream(converted["rng_seed"], STREAM_PLACEMENT))
         noise_variance = 1.0  # gains are normalized to the noise floor
     elif placement == "gamma":
         if "gamma" not in converted:
@@ -236,9 +225,7 @@ def spec_from_options(options: dict, source: str = "<options>") -> ExperimentSpe
         persistence=converted["persistence"],
         noise_variance=noise_variance,
         path_losses=gains,
-        rng_seed=converted["rng_seed"],
-        amp_max_iters=converted["amp_max_iters"],
-        amp_convergence_tol=converted["amp_convergence_tol"])
+        rng_seed=converted["rng_seed"])
 
     variants = tuple(v.strip() for v in str(converted["variants"]).split(",")
                      if v.strip())
@@ -255,8 +242,7 @@ def spec_from_options(options: dict, source: str = "<options>") -> ExperimentSpe
 
 def parse_config(path) -> ExperimentSpec:
     """Read, convert and validate a config file."""
-    options, _ = read_config_file(path)
-    return spec_from_options(options, source=str(path))
+    return spec_from_options(read_config_file(path), source=str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +321,10 @@ def run_experiment(spec: ExperimentSpec) -> AggregateResult:
 
     Deterministic for a given spec regardless of parallelism: every trial
     draws from substreams of its own derived seed and results are merged
-    in trial order.  Individual trial failures are recorded and skipped;
-    more than 10% failures aborts the experiment.
+    in trial order.  A trial that raises a library error (`SiAmpError`,
+    such as a diverging block's `NonFiniteState`) is recorded and
+    skipped; more than 10% failures aborts the experiment.  Any other
+    exception propagates.
     """
     spec.validate()
     start = time.time()
@@ -353,14 +341,14 @@ def run_experiment(spec: ExperimentSpec) -> AggregateResult:
                 try:
                     idx, payload = fut.result()
                     results[idx] = payload
-                except Exception as exc:  # noqa: BLE001 - per-trial isolation
+                except SiAmpError as exc:
                     failures.append((i, repr(exc)))
     else:
         for job in jobs:
             try:
                 idx, payload = _run_trial_counts(job)
                 results[idx] = payload
-            except Exception as exc:  # noqa: BLE001 - per-trial isolation
+            except SiAmpError as exc:
                 failures.append((job[1], repr(exc)))
     if len(failures) > 0.1 * spec.num_trials:
         raise RuntimeError(f"{len(failures)}/{spec.num_trials} trials failed: "
@@ -416,19 +404,19 @@ def chained_se_traces(spec: ExperimentSpec) -> dict[str, list[SeTrace]]:
     si and nosi are paired sample by sample and their fixed points differ
     by what the side information does, not by Monte Carlo noise.
     """
-    def solve(mode, tau_prev=None):
+    def solve(tau_prev=None):
         params = SeParams.from_scenario(spec.scenario, tau_prev=tau_prev,
                                         sample_count=spec.se_sample_count)
         # the no-SI trace's stream, replayed by every trace
         rng = substream(spec.scenario.rng_seed, STREAM_SE_TRACE, "nosi", 0)
-        return se_fixed_point(params, variant=mode, rng=rng)
+        return se_fixed_point(params, rng)
 
-    nosi = solve("nosi")
+    nosi = solve()
     chains = {"nosi": [nosi] * spec.scenario.num_blocks, "si": [nosi]}
     if "si" in spec.variants:
         for _ in range(1, spec.scenario.num_blocks):
             tau_prev = float(np.sqrt(chains["si"][-1].fixed_point))
-            chains["si"].append(solve("si", tau_prev))
+            chains["si"].append(solve(tau_prev))
     return {v: chains[v] for v in spec.variants}
 
 
@@ -441,26 +429,25 @@ def denoiser_response_curve(gamma: float, tau: float, tau_prev: float,
                             grid: np.ndarray):
     """Magnitude response |output| over a |input| grid.
 
-    Returns rows (variant, prev_magnitude, input_magnitude,
-    output_magnitude); the no-SI response is included once with
-    prev_magnitude 0.  Only magnitudes matter: the denoiser is phase
-    equivariant.
+    Returns the table (header, rows), rows (variant, prev_magnitude,
+    input_magnitude, output_magnitude); the no-SI response is included
+    once with prev_magnitude 0.  Only magnitudes matter: the denoiser is
+    phase equivariant.
     """
     grid = np.asarray(grid, dtype=float)
     x = np.zeros((grid.size, num_antennas), dtype=complex)
     x[:, 0] = grid
-    out_rows = []
     nosi, _ = denoise_rows(x, gamma, tau, lam, alpha, beta)
-    for g, o in zip(grid, np.abs(nosi[:, 0])):
-        out_rows.append(("nosi", 0.0, float(g), float(o)))
+    rows = [("nosi", 0.0, float(g), float(o))
+            for g, o in zip(grid, np.abs(nosi[:, 0]))]
     for prev_mag in prev_magnitudes:
         prev = np.zeros((grid.size, num_antennas), dtype=complex)
         prev[:, 0] = prev_mag
         si_out, _ = denoise_rows(x, gamma, tau, lam, alpha, beta,
                                  SideInfo(pseudo_obs=prev, tau_prev=tau_prev))
-        for g, o in zip(grid, np.abs(si_out[:, 0])):
-            out_rows.append(("si", float(prev_mag), float(g), float(o)))
-    return out_rows
+        rows += [("si", float(prev_mag), float(g), float(o))
+                 for g, o in zip(grid, np.abs(si_out[:, 0]))]
+    return ["variant", "prev_abs", "input_abs", "output_abs"], rows
 
 
 def detector_threshold_curve(gamma: float, tau: float, tau_prev: float,
@@ -469,10 +456,10 @@ def detector_threshold_curve(gamma: float, tau: float, tau_prev: float,
                              prev_grid: np.ndarray):
     """Energy threshold versus previous-block magnitude, with its limits.
 
-    Returns (rows, lower_limit, upper_limit); rows are (prev_magnitude,
-    threshold_si, threshold_nosi).  The limits are the thresholds for
-    previous-block evidence of certain activity (SI factor beta/alpha)
-    and of none ((1-beta)/(1-alpha)).
+    Returns ((header, rows), lower_limit, upper_limit); rows are
+    (prev_magnitude, threshold_si, threshold_nosi).  The limits are the
+    thresholds for previous-block evidence of certain activity (SI factor
+    beta/alpha) and of none ((1-beta)/(1-alpha)).
     """
     prev_grid = np.asarray(prev_grid, dtype=float)
     prev = np.zeros((prev_grid.size, num_antennas), dtype=complex)
@@ -486,11 +473,43 @@ def detector_threshold_curve(gamma: float, tau: float, tau_prev: float,
     lower = (base + np.log(beta / alpha)) / delta
     upper = (base + np.log((1.0 - beta) / (1.0 - alpha))) / delta
     rows = [(float(p), float(t), float(t_nosi)) for p, t in zip(prev_grid, t_si)]
-    return rows, float(lower), float(upper)
+    table = (["prev_abs", "threshold_si", "threshold_nosi"], rows)
+    return table, float(lower), float(upper)
 
 
 # ---------------------------------------------------------------------------
-# CSV emission
+# CSV tables: each builder returns (header, rows), `write_tables` writes them
+
+def roc_table(curves: dict):
+    """roc.csv from {variant: per-slot RocCurves}."""
+    rows = [(j + 1, variant, l, curve.p_fa[k], curve.p_md[k], curve.num_trials,
+             curve.se_p_fa[k], curve.se_p_md[k])
+            for variant, per_slot in curves.items()
+            for j, curve in enumerate(per_slot)
+            for k, l in enumerate(curve.l_grid)]
+    return ["slot_j", "variant", "l", "P_FA", "P_MD", "trials", "se_P_FA",
+            "se_P_MD"], rows
+
+
+def nmse_table(nmse: dict, tau_final: dict):
+    """nmse.csv from {variant: (mean, stderr)} of NMSE and of tau_final."""
+    rows = []
+    for variant, (mean, se) in nmse.items():
+        tau_mean, tau_se = tau_final[variant]
+        rows += [(j + 1, variant, mean[j], se[j], tau_mean[j], tau_se[j])
+                 for j in range(len(mean))]
+    return ["slot_j", "variant", "nmse", "se_nmse", "tau_final",
+            "se_tau_final"], rows
+
+
+def se_trace_table(se_traces: dict):
+    """se_trace.csv from {variant: per-slot SeTraces}."""
+    rows = [(variant, j + 1, step, tau_sq, err, int(trace.converged))
+            for variant, per_slot in se_traces.items()
+            for j, trace in enumerate(per_slot)
+            for step, (tau_sq, err) in enumerate(zip(trace.tau_sq, trace.stderr))]
+    return ["variant", "slot_j", "step", "tau_sq", "stderr", "converged"], rows
+
 
 def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
@@ -498,70 +517,34 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path, header, rows):
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-    except OSError as exc:
-        raise OSError(f"writing {path}: {exc}") from exc
+def write_tables(out_dir, tables: dict) -> dict:
+    """Write each {name: (header, rows)} table to `out_dir`/name.csv and
+    return {name: path}.
 
-
-def _write_roc_csv(path, variants, curves):
-    """roc.csv from per-variant lists of per-slot RocCurves."""
-    rows = []
-    for variant in variants:
-        for j, curve in enumerate(curves[variant]):
-            for k, l in enumerate(curve.l_grid):
-                rows.append((j + 1, variant, l, curve.p_fa[k], curve.p_md[k],
-                             curve.num_trials, curve.se_p_fa[k],
-                             curve.se_p_md[k]))
-    _write_csv(path, ["slot_j", "variant", "l", "P_FA", "P_MD", "trials",
-                      "se_P_FA", "se_P_MD"], rows)
-
-
-def _write_se_trace_csv(path, variants, se_traces):
-    """se_trace.csv from per-variant lists of per-slot SeTraces."""
-    rows = []
-    for variant in variants:
-        for j, trace in enumerate(se_traces[variant]):
-            for step, (tau_sq, err) in enumerate(zip(trace.tau_sq, trace.stderr)):
-                rows.append((variant, j + 1, step, tau_sq, err,
-                             int(trace.converged)))
-    _write_csv(path, ["variant", "slot_j", "step", "tau_sq", "stderr",
-                      "converged"], rows)
+    Floats are written with 17 significant digits, so reading a file back
+    reproduces them exactly; lines end in LF.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    paths = {}
+    for name, (header, rows) in tables.items():
+        path = paths[name] = os.path.join(out_dir, f"{name}.csv")
+        try:
+            with open(path, "w", newline="") as fh:
+                fh.write(",".join(header) + "\n")
+                for row in rows:
+                    fh.write(",".join(_fmt(v) for v in row) + "\n")
+        except OSError as exc:
+            raise OSError(f"writing {path}: {exc}") from exc
+    return paths
 
 
 def emit_csv(result: AggregateResult, out_dir) -> dict:
-    """Write ROC, NMSE and SE-trace CSVs plus a metadata JSON.
+    """Write the run's ROC, NMSE, SE-trace and curve CSVs plus a metadata
+    JSON; returns {name: path}.
 
     The CSV bytes are deterministic functions of (spec, seed); wall time
     and other run-dependent facts live only in metadata.json.
     """
-    import os
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {}
-
-    paths["roc"] = os.path.join(out_dir, "roc.csv")
-    _write_roc_csv(paths["roc"], result.spec.variants, result.curves)
-
-    nmse_rows = []
-    for variant in result.spec.variants:
-        mean, se = result.nmse[variant]
-        tau_mean, tau_se = result.tau_final[variant]
-        for j in range(len(mean)):
-            nmse_rows.append((j + 1, variant, mean[j], se[j],
-                              tau_mean[j], tau_se[j]))
-    paths["nmse"] = os.path.join(out_dir, "nmse.csv")
-    _write_csv(paths["nmse"],
-               ["slot_j", "variant", "nmse", "se_nmse", "tau_final",
-                "se_tau_final"], nmse_rows)
-
-    paths["se_trace"] = os.path.join(out_dir, "se_trace.csv")
-    _write_se_trace_csv(paths["se_trace"], result.spec.variants,
-                        result.se_traces)
-
     # response/threshold grids at the experiment's own operating point:
     # median channel gain and the converged slot-1 noise level
     scenario = result.spec.scenario
@@ -573,17 +556,18 @@ def emit_csv(result: AggregateResult, out_dir) -> dict:
                     alpha=scenario.persistence, beta=scenario.beta,
                     num_antennas=scenario.num_antennas)
     grid = np.linspace(0.0, 4.0 * np.sqrt(gamma + tau * tau), 401)
-    den_rows = denoiser_response_curve(
-        lam=scenario.activity_rate,
-        prev_magnitudes=[1e-3 * scale, 10.0 * scale], grid=grid, **curve_kw)
-    paths["denoiser_curve"] = os.path.join(out_dir, "denoiser_curve.csv")
-    _write_csv(paths["denoiser_curve"],
-               ["variant", "prev_abs", "input_abs", "output_abs"], den_rows)
-    thr_rows, _, _ = detector_threshold_curve(l=0.0, prev_grid=grid, **curve_kw)
-    paths["threshold_curve"] = os.path.join(out_dir, "threshold_curve.csv")
-    _write_csv(paths["threshold_curve"],
-               ["prev_abs", "threshold_si", "threshold_nosi"], thr_rows)
-
+    threshold_curve, _, _ = detector_threshold_curve(l=0.0, prev_grid=grid,
+                                                     **curve_kw)
+    paths = write_tables(out_dir, {
+        "roc": roc_table(result.curves),
+        "nmse": nmse_table(result.nmse, result.tau_final),
+        "se_trace": se_trace_table(result.se_traces),
+        "denoiser_curve": denoiser_response_curve(
+            lam=scenario.activity_rate,
+            prev_magnitudes=[1e-3 * scale, 10.0 * scale], grid=grid,
+            **curve_kw),
+        "threshold_curve": threshold_curve,
+    })
     paths["metadata"] = os.path.join(out_dir, "metadata.json")
     with open(paths["metadata"], "w") as fh:
         json.dump(result.metadata, fh, indent=2)

@@ -6,7 +6,6 @@ Y = S X + Z for each coherence block, all driven by named RNG
 substreams of a single master seed.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +50,7 @@ def path_loss_linear(distance_km: float) -> float:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """All system, channel, activity and algorithm parameters of one trial."""
+    """All system, channel and activity parameters of one trial."""
 
     num_devices: int
     pilot_length: int
@@ -62,8 +61,6 @@ class ScenarioConfig:
     noise_variance: float
     path_losses: np.ndarray  # shape (num_devices,), linear power gains
     rng_seed: int
-    amp_max_iters: int = 50
-    amp_convergence_tol: float = 1e-6
 
     @property
     def beta(self) -> float:
@@ -92,10 +89,6 @@ class ScenarioConfig:
             )
         elif not np.all(gammas > 0.0):
             out.append("path_losses must all be positive")
-        if self.amp_max_iters < 1:
-            out.append("amp_max_iters must be a positive count")
-        if self.amp_convergence_tol < 0.0:
-            out.append("amp_convergence_tol must be nonnegative")
         return out
 
     def validate(self) -> "ScenarioConfig":
@@ -210,19 +203,14 @@ def generate_scenario(config: ScenarioConfig) -> ScenarioRealization:
                                blocks=blocks, received=received)
 
 
-def dump_trace_csv(realization: ScenarioRealization, path) -> None:
-    """Write per-device truth rows: block, device, active, channel re/im."""
+def trace_table(realization: ScenarioRealization):
+    """(header, rows) of the per-device truth: block, device, active,
+    channel re/im per antenna."""
     m = realization.config.num_antennas
-    header = ["block", "device", "active"]
-    header += [f"channel_re_{k + 1}" for k in range(m)]
-    header += [f"channel_im_{k + 1}" for k in range(m)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for j, truth in enumerate(realization.blocks):
-            for n in range(realization.config.num_devices):
-                h = truth.channels[n]
-                row = [j + 1, n, int(truth.activity[n])]
-                row += [f"{v:.17g}" for v in h.real]
-                row += [f"{v:.17g}" for v in h.imag]
-                writer.writerow(row)
+    header = (["block", "device", "active"]
+              + [f"channel_re_{k + 1}" for k in range(m)]
+              + [f"channel_im_{k + 1}" for k in range(m)])
+    rows = [(j + 1, n, int(truth.activity[n]), *h.real, *h.imag)
+            for j, truth in enumerate(realization.blocks)
+            for n, h in enumerate(truth.channels)]
+    return header, rows

@@ -17,9 +17,6 @@ import numpy as np
 from .denoiser import SideInfo, denoise_rows
 from .errors import InvalidConfig
 from .model import ScenarioConfig
-from .streams import substream
-
-STREAM_SE = "se-sampling"
 
 __all__ = ["SeParams", "SeTrace", "se_step", "se_fixed_point"]
 
@@ -94,21 +91,19 @@ def _sample_case(rng: np.random.Generator, params: SeParams, size: int):
     return active_now, active_prev
 
 
-def se_step(tau_sq: float, params: SeParams, variant: str,
-            rng: np.random.Generator, denoiser_fn=None):
+def se_step(tau_sq: float, params: SeParams, rng: np.random.Generator,
+            denoiser_fn=None):
     """One recursion step: (next tau^2, Monte Carlo standard error).
 
     Draws (activity case, channel gain, truth, noise) per sample, applies
     the denoiser at the current tau, and averages the per-antenna squared
-    error.  `denoiser_fn(x_tilde, x_true, prev_obs)` replaces the real
-    denoiser when given (test hook).
+    error.  When `params.tau_prev` is set (SI mode) it also draws the
+    previous block's observation and denoises with it as side
+    information.  `denoiser_fn(x_tilde, x_true, prev_obs)` replaces the
+    real denoiser when given (test hook).
     """
     if not tau_sq > 0.0:
         raise InvalidConfig(f"tau_sq must be positive, got {tau_sq}")
-    if variant not in ("si", "nosi"):
-        raise ValueError(f"variant must be 'si' or 'nosi', got {variant!r}")
-    if variant == "si" and params.tau_prev is None:
-        raise InvalidConfig("SI mode needs tau_prev in SeParams")
     s, m = params.sample_count, params.num_antennas
     tau = float(np.sqrt(tau_sq))
     active_now, active_prev = _sample_case(rng, params, s)
@@ -117,7 +112,7 @@ def se_step(tau_sq: float, params: SeParams, variant: str,
     x_true = np.where(active_now[:, None], scale * _complex_std_normal(rng, (s, m)), 0.0)
     x_tilde = x_true + tau * _complex_std_normal(rng, (s, m))
     prev_obs = si = None
-    if variant == "si":
+    if params.tau_prev is not None:
         x_prev = np.where(active_prev[:, None],
                           scale * _complex_std_normal(rng, (s, m)), 0.0)
         prev_obs = x_prev + params.tau_prev * _complex_std_normal(rng, (s, m))
@@ -133,8 +128,7 @@ def se_step(tau_sq: float, params: SeParams, variant: str,
     return next_tau_sq, stderr
 
 
-def se_fixed_point(params: SeParams, variant: str = "nosi",
-                   rng: np.random.Generator | None = None,
+def se_fixed_point(params: SeParams, rng: np.random.Generator,
                    rel_tol: float = 1e-4, max_steps: int = 200,
                    denoiser_fn=None) -> SeTrace:
     """Iterate the recursion to its fixed point.
@@ -144,8 +138,6 @@ def se_fixed_point(params: SeParams, variant: str = "nosi",
     replays the draws made from `rng`'s starting state.  A trace that fails
     to converge within `max_steps` is returned with converged=False.
     """
-    if rng is None:
-        rng = substream(0, STREAM_SE)
     start = rng.bit_generator.state
     tau_sq = params.noise_variance + params.load * params.lam * params.mean_gamma
     trace = [tau_sq]
@@ -153,7 +145,7 @@ def se_fixed_point(params: SeParams, variant: str = "nosi",
     converged = False
     for _ in range(max_steps):
         rng.bit_generator.state = start
-        nxt, err = se_step(tau_sq, params, variant, rng, denoiser_fn)
+        nxt, err = se_step(tau_sq, params, rng, denoiser_fn)
         trace.append(nxt)
         errs.append(err)
         converged = abs(nxt - tau_sq) / tau_sq < rel_tol

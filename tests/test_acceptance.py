@@ -193,7 +193,7 @@ def test_a5_state_evolution_consistency():
     res = run_block(scenario.received[0], scenario.pilots,
                     None, cfg)
     params = SeParams.from_scenario(cfg, sample_count=100_000)
-    trace = se_fixed_point(params, "nosi", rng=substream(105, "a5"))
+    trace = se_fixed_point(params, substream(105, "a5"))
     rel = abs(res.tau_final ** 2 - trace.fixed_point) / trace.fixed_point
     elapsed = time.time() - start
     report("A5 state-evolution consistency",
@@ -275,10 +275,9 @@ def test_a7_derivative_against_finite_differences():
 
 def test_a8_response_and_threshold_shapes():
     grid = np.linspace(0.0, 2e-5, 2001)
-    rows = denoiser_response_curve(gamma=1e-8, tau=2e-6, tau_prev=2e-6,
-                                   lam=0.1, alpha=0.91, beta=0.01,
-                                   num_antennas=1,
-                                   prev_magnitudes=[1e-7, 1e-3], grid=grid)
+    _, rows = denoiser_response_curve(
+        gamma=1e-8, tau=2e-6, tau_prev=2e-6, lam=0.1, alpha=0.91, beta=0.01,
+        num_antennas=1, prev_magnitudes=[1e-7, 1e-3], grid=grid)
 
     def first_alive(prev_mag, variant):
         for var, pm, x, y in rows:
@@ -291,7 +290,7 @@ def test_a8_response_and_threshold_shapes():
     shrinks = strong < weak
 
     prev_grid = np.linspace(0.0, 2e-5, 2001)
-    t_rows, lower, upper = detector_threshold_curve(
+    (_, t_rows), lower, upper = detector_threshold_curve(
         gamma=1e-8, tau=2e-6, tau_prev=2e-6, alpha=0.91, beta=0.01,
         num_antennas=1, l=0.0, prev_grid=prev_grid)
     values = np.array([r[1] for r in t_rows])

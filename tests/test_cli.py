@@ -83,6 +83,21 @@ def test_dump_traces(tiny_config, tmp_path):
     assert len(rows) == 60 * 2
 
 
+def test_dump_traces_lf_and_exact(tiny_config, tmp_path):
+    # every CSV ends its lines in LF alone, and channels read back exactly
+    from siamp import generate_scenario, parse_config
+    out = tmp_path / "traces_out"
+    assert main(["dump-traces", str(tiny_config), "--out-dir", str(out)]) == 0
+    data = (out / "traces.csv").read_bytes()
+    assert b"\r" not in data
+    rows = list(csv.DictReader(data.decode().splitlines()))
+    realization = generate_scenario(parse_config(tiny_config).scenario)
+    channels = np.array([[complex(float(r["channel_re_1"]),
+                                  float(r["channel_im_1"]))] for r in rows])
+    np.testing.assert_array_equal(
+        channels, np.concatenate([b.channels for b in realization.blocks]))
+
+
 def test_amp_trace(tiny_config, tmp_path):
     out = tmp_path / "amp_out"
     assert main(["amp-trace", str(tiny_config), "--out-dir", str(out)]) == 0

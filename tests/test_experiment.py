@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from siamp import (ParseError, ValidationError, emit_csv, parse_config,
-                   run_experiment, spec_from_options)
+from siamp import (NonFiniteState, ParseError, ValidationError, emit_csv,
+                   parse_config, run_experiment, spec_from_options)
 from siamp import amp, experiment, model
 from siamp.experiment import (_run_trial_counts, annulus_gains,
                               chained_se_traces, default_l_grid,
@@ -76,6 +76,24 @@ class TestParseConfig:
         with pytest.raises(ParseError, match="bogus_key"):
             parse_config(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("amp_max_iters", "50"), ("amp_convergence_tol", "1e-6"),
+        ("cell_radius_km", "1.0"), ("min_radius_km", "0.05"),
+        ("tx_power_dbm", "23"), ("noise_psd_dbm_hz", "-169"),
+        ("bandwidth_hz", "1e7")])
+    def test_fixed_constant_key_is_parse_error(self, tmp_path, key, value):
+        # the AMP stopping rule and the cell are constants, not options
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"preset = fig3-desk\n{key} = {value}\n")
+        with pytest.raises(ParseError, match=key):
+            parse_config(path)
+
+    def test_duplicate_variants_rejected(self):
+        # a repeated variant would run its chain twice and repeat its rows
+        with pytest.raises(ValidationError) as exc:
+            spec_from_options(desk_options(variants="si,si"))
+        assert any("variants" in v for v in exc.value.violations)
+
     def test_bad_value_reports_field(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("num_devices = sixty\npilot_length = 24\ngamma = 1\n")
@@ -106,8 +124,7 @@ class TestParseConfig:
 
 class TestAnnulusGains:
     def test_radius_bounds_respected(self):
-        gains = annulus_gains(5000, substream(0, "place"), cell_radius_km=1.0,
-                              min_radius_km=0.05)
+        gains = annulus_gains(5000, substream(0, "place"))
         hi = 10 ** ((23 - 30) / 10) * 10 ** ((-128.1 - 36.7 * np.log10(0.05)) / 10) \
             / (10 ** ((-169 - 30) / 10) * 1e7)
         lo = 10 ** ((23 - 30) / 10) * 10 ** (-128.1 / 10) \
@@ -117,8 +134,7 @@ class TestAnnulusGains:
 
     def test_uniform_area_density(self):
         rng = substream(1, "place")
-        gains = annulus_gains(200_000, rng, cell_radius_km=1.0,
-                              min_radius_km=0.05)
+        gains = annulus_gains(200_000, rng)
         # invert the path-loss law back to distance and test r^2 uniformity
         tx = 10 ** ((23 - 30) / 10)
         noise = 10 ** ((-169 - 30) / 10) * 1e7
@@ -209,6 +225,33 @@ class TestRunExperiment:
         si_only = chained_se_traces(replace(spec, variants=("si",)))
         assert si_only["si"][0].fixed_point == nosi.fixed_point
 
+    def _fail_one_trial(self, monkeypatch, exc):
+        run = experiment.run_trial_variants
+        calls = []
+
+        def failing(config, variants):
+            calls.append(config.rng_seed)
+            if len(calls) == 2:
+                raise exc
+            return run(config, variants)
+        monkeypatch.setattr(experiment, "run_trial_variants", failing)
+
+    def test_non_library_error_propagates(self, monkeypatch):
+        self._fail_one_trial(monkeypatch, TypeError("bug"))
+        with pytest.raises(TypeError, match="bug"):
+            run_experiment(spec_from_options(desk_options(num_trials="10")))
+
+    def test_library_error_recorded_and_trial_skipped(self, monkeypatch):
+        self._fail_one_trial(monkeypatch, NonFiniteState("diverged"))
+        result = run_experiment(spec_from_options(desk_options(num_trials="10")))
+        assert len(result.failures) == 1
+        index, message = result.failures[0]
+        assert index == 1 and "diverged" in message
+        assert result.metadata["completed_trials"] == 9
+        for variant in result.spec.variants:
+            assert result.per_trial[variant]["nmse"].shape[0] == 9
+            assert result.curves[variant][0].num_trials == 9
+
     def test_trial_seeds_distinct_and_stable(self):
         seeds = [trial_seed(5, i) for i in range(100)]
         assert len(set(seeds)) == 100
@@ -253,10 +296,9 @@ class TestRunExperiment:
 class TestCurves:
     def test_denoiser_curve_zero_region_shrinks_with_evidence(self):
         grid = np.linspace(0, 2e-5, 501)
-        rows = denoiser_response_curve(gamma=1e-8, tau=2e-6, tau_prev=2e-6,
-                                       lam=0.1, alpha=0.91, beta=0.01,
-                                       num_antennas=1,
-                                       prev_magnitudes=[1e-7, 1e-3], grid=grid)
+        _, rows = denoiser_response_curve(
+            gamma=1e-8, tau=2e-6, tau_prev=2e-6, lam=0.1, alpha=0.91, beta=0.01,
+            num_antennas=1, prev_magnitudes=[1e-7, 1e-3], grid=grid)
         def first_alive(prev_mag, variant):
             xs = [r[2] for r in rows if r[0] == variant and r[1] == prev_mag]
             ys = [r[3] for r in rows if r[0] == variant and r[1] == prev_mag]
@@ -272,7 +314,7 @@ class TestCurves:
 
     def test_threshold_curve_monotone_and_bracketed(self):
         prev_grid = np.linspace(0, 2e-5, 401)
-        rows, lower, upper = detector_threshold_curve(
+        (_, rows), lower, upper = detector_threshold_curve(
             gamma=1e-8, tau=2e-6, tau_prev=2e-6, alpha=0.91, beta=0.01,
             num_antennas=1, l=0.0, prev_grid=prev_grid)
         values = np.array([r[1] for r in rows])

@@ -194,10 +194,9 @@ class TestScenario:
 
     def test_trace_csv_roundtrip(self, tmp_path):
         import csv
-        from siamp import dump_trace_csv
+        from siamp import trace_table, write_tables
         scenario = generate_scenario(desk_config(num_blocks=2))
-        path = tmp_path / "traces.csv"
-        dump_trace_csv(scenario, path)
+        path = write_tables(tmp_path, {"traces": trace_table(scenario)})["traces"]
         with open(path) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2 * 40

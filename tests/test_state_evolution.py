@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,37 +21,32 @@ class TestSeStep:
     def test_perfect_denoiser_returns_noise_floor(self):
         params = make_params()
         hook = lambda xt, x_true, prev: x_true
-        nxt, err = se_step(0.5, params, "nosi", substream(0, "se"), denoiser_fn=hook)
+        nxt, err = se_step(0.5, params, substream(0, "se"), denoiser_fn=hook)
         assert nxt == params.noise_variance
         assert err == 0.0
 
     def test_zero_denoiser_adds_signal_power(self):
         params = make_params(sample_count=400_000)
         hook = lambda xt, x_true, prev: np.zeros_like(xt)
-        nxt, err = se_step(0.5, params, "nosi", substream(1, "se"), denoiser_fn=hook)
+        nxt, err = se_step(0.5, params, substream(1, "se"), denoiser_fn=hook)
         expected = params.noise_variance + params.load * params.lam * 1.0
         assert nxt == pytest.approx(expected, abs=4 * err)
-
-    def test_si_mode_requires_previous_level(self):
-        params = make_params(tau_prev=None)
-        with pytest.raises(InvalidConfig):
-            se_step(0.5, params, "si", substream(2, "se"))
 
     def test_lower_bound_is_noise_floor(self):
         params = make_params()
         rng = substream(3, "se")
         tau_sq = 0.7
         for _ in range(5):
-            tau_sq, _ = se_step(tau_sq, params, "nosi", rng)
+            tau_sq, _ = se_step(tau_sq, params, rng)
             assert tau_sq >= params.noise_variance
 
     def test_monte_carlo_error_scaling(self):
         # doubling the sample count shrinks the standard error by ~sqrt(2)
         small = make_params(sample_count=20_000)
         big = make_params(sample_count=40_000)
-        errs_small = [se_step(0.5, small, "nosi", substream(s, "se"))[1]
+        errs_small = [se_step(0.5, small, substream(s, "se"))[1]
                       for s in range(8)]
-        errs_big = [se_step(0.5, big, "nosi", substream(100 + s, "se"))[1]
+        errs_big = [se_step(0.5, big, substream(100 + s, "se"))[1]
                     for s in range(8)]
         ratio = np.mean(errs_small) / np.mean(errs_big)
         assert ratio == pytest.approx(np.sqrt(2.0), rel=0.1)
@@ -58,7 +55,7 @@ class TestSeStep:
         params = make_params(gammas=np.array([0.5, 2.0]),
                              sample_count=200_000)
         hook = lambda xt, x_true, prev: np.zeros_like(xt)
-        nxt, err = se_step(0.5, params, "nosi", substream(4, "se"), denoiser_fn=hook)
+        nxt, err = se_step(0.5, params, substream(4, "se"), denoiser_fn=hook)
         expected = params.noise_variance + params.load * params.lam * 1.25
         assert nxt == pytest.approx(expected, abs=4 * err)
 
@@ -67,32 +64,32 @@ class TestFixedPoint:
     def test_noise_dominant_fixed_point(self):
         # gains far below the noise floor: the denoiser output is negligible
         params = make_params(gammas=np.array([1e-6]), sample_count=50_000)
-        trace = se_fixed_point(params, "nosi", rng=substream(5, "se"))
+        trace = se_fixed_point(params, rng=substream(5, "se"))
         expected = params.noise_variance + params.load * params.lam * 1e-6
         assert trace.converged
         assert trace.fixed_point == pytest.approx(expected, rel=1e-3)
 
     def test_trace_bounded_below_by_noise(self):
         params = make_params()
-        trace = se_fixed_point(params, "nosi", rng=substream(6, "se"))
+        trace = se_fixed_point(params, rng=substream(6, "se"))
         assert np.all(trace.tau_sq >= params.noise_variance)
 
     def test_stale_side_info_matches_no_si(self):
         # ancient previous-block estimate (huge tau_prev) carries nothing
         base = make_params(sample_count=100_000)
         with_si = make_params(sample_count=100_000, tau_prev=1e6)
-        a = se_fixed_point(base, "nosi", rng=substream(7, "se"))
-        b = se_fixed_point(with_si, "si", rng=substream(7, "se"))
+        a = se_fixed_point(base, rng=substream(7, "se"))
+        b = se_fixed_point(with_si, rng=substream(7, "se"))
         assert b.fixed_point == pytest.approx(a.fixed_point, rel=0.02)
 
     def test_side_info_never_hurts(self):
         # conditioning on the previous block cannot worsen the fixed point
         base = make_params(lam=0.1, alpha=0.91, beta=0.01, sample_count=100_000)
-        nosi = se_fixed_point(base, "nosi", rng=substream(8, "se"))
+        nosi = se_fixed_point(base, rng=substream(8, "se"))
         si_params = make_params(lam=0.1, alpha=0.91, beta=0.01,
                                 sample_count=100_000,
                                 tau_prev=float(np.sqrt(nosi.fixed_point)))
-        si = se_fixed_point(si_params, "si", rng=substream(9, "se"))
+        si = se_fixed_point(si_params, rng=substream(9, "se"))
         last_err = max(si.stderr[-1], nosi.stderr[-1])
         assert si.fixed_point <= nosi.fixed_point + 2 * last_err
 
@@ -100,16 +97,16 @@ class TestFixedPoint:
         # at the same tau, the richer conditioning gives no higher MSE
         params = make_params(lam=0.1, alpha=0.91, beta=0.01,
                              sample_count=200_000, tau_prev=0.3)
-        a, ea = se_step(0.25, params, "nosi", substream(10, "se"))
-        b, eb = se_step(0.25, params, "si", substream(10, "se"))
+        a, ea = se_step(0.25, replace(params, tau_prev=None), substream(10, "se"))
+        b, eb = se_step(0.25, params, substream(10, "se"))
         assert b <= a + 2 * np.hypot(ea, eb)
 
     def test_steps_replay_one_draw(self):
         # every step maps the same samples: re-running the last step from
         # the trace's starting state reproduces it exactly
         params = make_params(sample_count=20_000)
-        trace = se_fixed_point(params, "nosi", rng=substream(13, "se"))
-        nxt, err = se_step(trace.tau_sq[-2], params, "nosi", substream(13, "se"))
+        trace = se_fixed_point(params, rng=substream(13, "se"))
+        nxt, err = se_step(trace.tau_sq[-2], params, substream(13, "se"))
         assert trace.converged
         assert (nxt, err) == (trace.tau_sq[-1], trace.stderr[-1])
 
@@ -119,7 +116,7 @@ class TestFixedPoint:
 
     def test_nonconvergence_flagged(self):
         params = make_params(sample_count=5000)
-        trace = se_fixed_point(params, "nosi", rng=substream(11, "se"),
+        trace = se_fixed_point(params, rng=substream(11, "se"),
                                rel_tol=0.0, max_steps=5)
         assert not trace.converged
         assert len(trace.tau_sq) == 6
@@ -159,6 +156,6 @@ def test_desk_preset_tau_matches_fixed_point():
     res = run_block(realization.received[0],
                     realization.pilots, None, scenario)
     params = SeParams.from_scenario(scenario, sample_count=100_000)
-    trace = se_fixed_point(params, "nosi", rng=substream(12, "se"))
+    trace = se_fixed_point(params, rng=substream(12, "se"))
     predicted = np.sqrt(trace.fixed_point)
     assert abs(res.tau_final - predicted) / predicted < 0.05
