@@ -27,6 +27,9 @@ _NORM_FLOOR = 1e-30
 # precision gap in the denoiser never divides by zero
 TAU_FLOOR_FACTOR = 1e-12
 
+# the compared variants: side information from the previous block, or none
+VARIANTS = ("si", "nosi")
+
 __all__ = [
     "AmpState",
     "AmpBlockResult",
@@ -198,8 +201,8 @@ def run_trial(config: model.ScenarioConfig, variant: str = "si", *,
     (estimate, detection, report) of block 1 that its variants share;
     without them both are computed here.
     """
-    if variant not in ("si", "nosi"):
-        raise ValueError(f"variant must be 'si' or 'nosi', got {variant!r}")
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     if scenario is None:
         scenario = model.generate_scenario(config)
     out = TrialResult(variant=variant)
@@ -217,9 +220,8 @@ def run_trial(config: model.ScenarioConfig, variant: str = "si", *,
     return out
 
 
-def run_trial_variants(config: model.ScenarioConfig,
-                       variants) -> list[TrialResult]:
-    """`run_trial` under each variant on one scenario realization.
+def run_trial_variants(config: model.ScenarioConfig) -> list[TrialResult]:
+    """`run_trial` under each of `VARIANTS` on one scenario realization.
 
     Block 1 has no side information under any variant, so it is estimated
     and detected once and shared.  Returns one result per variant, in
@@ -228,4 +230,4 @@ def run_trial_variants(config: model.ScenarioConfig,
     scenario = model.generate_scenario(config)
     first_block = _track_block(config, scenario, 0, None)
     return [run_trial(config, variant, scenario=scenario,
-                      first_block=first_block) for variant in variants]
+                      first_block=first_block) for variant in VARIANTS]

@@ -10,16 +10,18 @@ rows) table, written by `write_tables`.
 """
 
 import json
+import multiprocessing
 import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
 from . import __version__
-from .amp import run_trial_variants
+from .amp import VARIANTS, run_trial_variants
 from .denoiser import SideInfo, denoise_rows, log_odds_terms
 from .detector import _rate_stderr, aggregate_slot_counts, sweep_block_counts
 from .errors import ParseError, SiAmpError, ValidationError
@@ -30,8 +32,6 @@ from .streams import seed_sequence, substream
 STREAM_PLACEMENT = "placement"
 STREAM_TRIAL = "trial"
 STREAM_SE_TRACE = "se-trace"
-
-VARIANTS = ("si", "nosi")
 
 # the cell of every physical placement
 CELL_RADIUS_KM = 1.0
@@ -64,15 +64,15 @@ def annulus_gains(num_devices: int, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A full experiment: scenario, trial budget, sweep grid, variants."""
+    """A full experiment: scenario, trial budget and sweep grid."""
 
+    variants: ClassVar[tuple] = VARIANTS  # every run compares all of them
     scenario: ScenarioConfig
     num_trials: int
     l_grid: np.ndarray
-    variants: tuple = VARIANTS
-    out_dir: str | None = None
-    parallelism: int = 1
-    se_sample_count: int = 20_000
+    out_dir: str | None
+    parallelism: int
+    se_sample_count: int
 
     def violations(self) -> list[str]:
         out = list(self.scenario.violations())
@@ -84,10 +84,6 @@ class ExperimentSpec:
         elif not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
             # per-trial rates are interpolated in l, which needs this order
             out.append("l_grid must be finite and strictly increasing")
-        if (not self.variants or not set(self.variants) <= set(VARIANTS)
-                or len(set(self.variants)) != len(self.variants)):
-            out.append(f"variants must be distinct and a nonempty subset "
-                       f"of {VARIANTS}")
         if self.parallelism < 1:
             out.append("parallelism must be >= 1")
         if self.se_sample_count < 2:
@@ -123,8 +119,8 @@ PRESETS = {
 _DEFAULTS = dict(
     num_antennas=1, num_blocks=1, activity_rate=0.1, persistence=0.1,
     noise_variance=1.0, rng_seed=0, num_trials=1, parallelism=1,
-    se_sample_count=20_000, placement="gamma", variants="si,nosi",
-    out_dir=None, l_grid=None,
+    se_sample_count=20_000, placement="gamma", out_dir=None,
+    l_grid=default_l_grid(),
 )
 
 
@@ -145,7 +141,7 @@ _KEYS = {
                      "se_sample_count"), int),
     **dict.fromkeys(("activity_rate", "persistence", "noise_variance",
                      "gamma"), float),
-    **dict.fromkeys(("preset", "placement", "variants", "out_dir"), str),
+    **dict.fromkeys(("preset", "placement", "out_dir"), str),
     "l_grid": _parse_l_grid,
 }
 
@@ -202,9 +198,13 @@ def spec_from_options(options: dict, source: str = "<options>") -> ExperimentSpe
     if violations:
         raise ValidationError(violations)
 
-    placement = converted.get("placement", "gamma")
-    noise_variance = converted.get("noise_variance", 1.0)
+    placement = converted["placement"]
     if placement == "annulus":
+        # only the caller's options count: _DEFAULTS holds noise_variance
+        ignored = [f"placement 'annulus' sets {key!r} itself; remove it"
+                   for key in ("gamma", "noise_variance") if key in options]
+        if ignored:
+            raise ValidationError(ignored)
         gains = annulus_gains(converted["num_devices"],
                               substream(converted["rng_seed"], STREAM_PLACEMENT))
         noise_variance = 1.0  # gains are normalized to the noise floor
@@ -212,6 +212,7 @@ def spec_from_options(options: dict, source: str = "<options>") -> ExperimentSpe
         if "gamma" not in converted:
             raise ValidationError(["placement 'gamma' needs a gamma value"])
         gains = np.full(converted["num_devices"], converted["gamma"], dtype=float)
+        noise_variance = converted["noise_variance"]
     else:
         raise ParseError(f"{source}: placement must be 'annulus' or 'gamma', "
                          f"got {placement!r}")
@@ -227,14 +228,9 @@ def spec_from_options(options: dict, source: str = "<options>") -> ExperimentSpe
         path_losses=gains,
         rng_seed=converted["rng_seed"])
 
-    variants = tuple(v.strip() for v in str(converted["variants"]).split(",")
-                     if v.strip())
-    l_grid = converted["l_grid"]
-    if l_grid is None:
-        l_grid = default_l_grid()
     spec = ExperimentSpec(scenario=scenario, num_trials=converted["num_trials"],
-                          l_grid=np.asarray(l_grid, dtype=float),
-                          variants=variants, out_dir=converted.get("out_dir"),
+                          l_grid=np.array(converted["l_grid"], dtype=float),
+                          out_dir=converted["out_dir"],
                           parallelism=converted["parallelism"],
                           se_sample_count=converted["se_sample_count"])
     return spec.validate()
@@ -255,13 +251,17 @@ def trial_seed(master_seed: int, index: int) -> int:
 
 
 def _run_trial_counts(args):
-    """Worker: one trial, all variants, reduced to per-slot arrays; returns
-    (index, {variant: arrays}), the arrays keyed and shaped as in
-    `AggregateResult.per_trial` without the trial axis."""
+    """Worker: one trial, both variants, reduced to per-slot arrays keyed
+    and shaped as in `AggregateResult.per_trial` without the trial axis.
+    Returns (index, {variant: arrays}, None), or (index, None, repr(exc))
+    if the trial raised a `SiAmpError`."""
     spec, index = args
     config = replace(spec.scenario, rng_seed=trial_seed(spec.scenario.rng_seed,
                                                         index))
-    trials = run_trial_variants(config, spec.variants)
+    try:
+        trials = run_trial_variants(config)
+    except SiAmpError as exc:
+        return index, None, repr(exc)
     # block 1 is one shared detection under every variant: sweep it once
     first_counts = sweep_block_counts(trials[0].detections[0], spec.l_grid)
     out = {}
@@ -274,28 +274,26 @@ def _run_trial_counts(args):
             "nmse": np.array([report.metrics.nmse for report in trial.reports]),
             "tau_final": np.array([block.tau_final for block in trial.blocks]),
         }
-    return index, out
+    return index, out, None
 
 
 @dataclass
 class AggregateResult:
     """Cross-trial aggregate of one experiment.
 
-    `per_trial[variant]` keeps the per-trial arrays every other field is
-    pooled from: sweep counts `fa`/`md` of shape (trials, slots,
-    len(l_grid)), and `n_inactive`, `n_active`, `nmse` and `tau_final` of
-    shape (trials, slots).  Variants share scenario substreams, so paired
+    `per_trial[variant]` keeps the per-trial arrays every table is pooled
+    from: sweep counts `fa`/`md` of shape (trials, slots, len(l_grid)),
+    and `n_inactive`, `n_active`, `nmse` and `tau_final` of shape
+    (trials, slots).  Variants share scenario substreams, so paired
     per-trial comparisons across variants or slots are valid.
     """
 
     spec: ExperimentSpec
     curves: dict  # variant -> list[RocCurve] per slot
-    nmse: dict  # variant -> (mean (J,), stderr (J,))
-    tau_final: dict  # variant -> (mean (J,), stderr (J,))
     se_traces: dict  # variant -> list[SeTrace] per slot
-    per_trial: dict = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
+    per_trial: dict
+    metadata: dict
+    failures: list  # (trial index, repr of its SiAmpError) per failed trial
 
     def p_md_per_trial(self, variant: str, slot: int,
                        target_p_fa: float) -> np.ndarray:
@@ -329,66 +327,39 @@ def run_experiment(spec: ExperimentSpec) -> AggregateResult:
     spec.validate()
     start = time.time()
     jobs = [(spec, i) for i in range(spec.num_trials)]
-    results = {}
-    failures = []
     if spec.parallelism > 1:
-        import multiprocessing as mp
-        ctx = mp.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=spec.parallelism,
-                                 mp_context=ctx) as pool:
-            futures = [pool.submit(_run_trial_counts, job) for job in jobs]
-            for i, fut in enumerate(futures):
-                try:
-                    idx, payload = fut.result()
-                    results[idx] = payload
-                except SiAmpError as exc:
-                    failures.append((i, repr(exc)))
+        with ProcessPoolExecutor(
+                max_workers=spec.parallelism,
+                mp_context=multiprocessing.get_context("spawn")) as pool:
+            outcomes = list(pool.map(_run_trial_counts, jobs))
     else:
-        for job in jobs:
-            try:
-                idx, payload = _run_trial_counts(job)
-                results[idx] = payload
-            except SiAmpError as exc:
-                failures.append((job[1], repr(exc)))
+        outcomes = [_run_trial_counts(job) for job in jobs]
+    done = [payload for _, payload, _ in outcomes if payload is not None]
+    failures = [(i, error) for i, _, error in outcomes if error is not None]
     if len(failures) > 0.1 * spec.num_trials:
         raise RuntimeError(f"{len(failures)}/{spec.num_trials} trials failed: "
                            f"{failures[:3]}")
 
-    curves = {}
-    nmse = {}
-    tau_final = {}
-    per_trial = {}
-    ordered = [results[i] for i in sorted(results)]
-    for variant in spec.variants:
-        data = {key: np.stack([trial[variant][key] for trial in ordered])
-                for key in ordered[0][variant]}
-        curves[variant] = [
-            aggregate_slot_counts(data["fa"][:, j], data["md"][:, j],
-                                  data["n_inactive"][:, j],
-                                  data["n_active"][:, j], spec.l_grid)
-            for j in range(spec.scenario.num_blocks)]
-        with warnings.catch_warnings():
-            # a slot with no valid trial has a NaN mean
-            warnings.simplefilter("ignore", RuntimeWarning)
-            nmse[variant] = (np.nanmean(data["nmse"], axis=0),
-                             _rate_stderr(data["nmse"]))
-            tau_final[variant] = (np.nanmean(data["tau_final"], axis=0),
-                                  _rate_stderr(data["tau_final"]))
-        per_trial[variant] = data
-
+    per_trial = {variant: {key: np.stack([trial[variant][key] for trial in done])
+                           for key in done[0][variant]}
+                 for variant in VARIANTS}
+    curves = {variant: [aggregate_slot_counts(data["fa"][:, j], data["md"][:, j],
+                                              data["n_inactive"][:, j],
+                                              data["n_active"][:, j], spec.l_grid)
+                        for j in range(spec.scenario.num_blocks)]
+              for variant, data in per_trial.items()}
     se_traces = chained_se_traces(spec)
     metadata = {
         "seed": spec.scenario.rng_seed,
         "version": __version__,
         "wall_time_s": time.time() - start,
         "num_trials": spec.num_trials,
-        "completed_trials": len(results),
+        "completed_trials": len(done),
         "failed_trials": len(failures),
         "parallelism": spec.parallelism,
-        "variants": list(spec.variants),
+        "variants": list(VARIANTS),
     }
-    return AggregateResult(spec=spec, curves=curves, nmse=nmse,
-                           tau_final=tau_final, se_traces=se_traces,
+    return AggregateResult(spec=spec, curves=curves, se_traces=se_traces,
                            per_trial=per_trial, metadata=metadata,
                            failures=failures)
 
@@ -412,12 +383,10 @@ def chained_se_traces(spec: ExperimentSpec) -> dict[str, list[SeTrace]]:
         return se_fixed_point(params, rng)
 
     nosi = solve()
-    chains = {"nosi": [nosi] * spec.scenario.num_blocks, "si": [nosi]}
-    if "si" in spec.variants:
-        for _ in range(1, spec.scenario.num_blocks):
-            tau_prev = float(np.sqrt(chains["si"][-1].fixed_point))
-            chains["si"].append(solve(tau_prev))
-    return {v: chains[v] for v in spec.variants}
+    si = [nosi]
+    for _ in range(1, spec.scenario.num_blocks):
+        si.append(solve(float(np.sqrt(si[-1].fixed_point))))
+    return {"si": si, "nosi": [nosi] * spec.scenario.num_blocks}
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +428,8 @@ def detector_threshold_curve(gamma: float, tau: float, tau_prev: float,
     Returns ((header, rows), lower_limit, upper_limit); rows are
     (prev_magnitude, threshold_si, threshold_nosi).  The limits are the
     thresholds for previous-block evidence of certain activity (SI factor
-    beta/alpha) and of none ((1-beta)/(1-alpha)).
+    beta/alpha) and of none ((1-beta)/(1-alpha)); at persistence 0 or 1
+    one of them is infinite.
     """
     prev_grid = np.asarray(prev_grid, dtype=float)
     prev = np.zeros((prev_grid.size, num_antennas), dtype=complex)
@@ -470,8 +440,9 @@ def detector_threshold_curve(gamma: float, tau: float, tau_prev: float,
     t_si = (l + (log_gain + si_term)) / delta
     base = l + log_gain
     t_nosi = base / delta
-    lower = (base + np.log(beta / alpha)) / delta
-    upper = (base + np.log((1.0 - beta) / (1.0 - alpha))) / delta
+    with np.errstate(divide="ignore"):
+        lower = (base + np.log(np.float64(beta) / alpha)) / delta
+        upper = (base + np.log(np.float64(1.0 - beta) / (1.0 - alpha))) / delta
     rows = [(float(p), float(t), float(t_nosi)) for p, t in zip(prev_grid, t_si)]
     table = (["prev_abs", "threshold_si", "threshold_nosi"], rows)
     return table, float(lower), float(upper)
@@ -491,13 +462,19 @@ def roc_table(curves: dict):
             "se_P_MD"], rows
 
 
-def nmse_table(nmse: dict, tau_final: dict):
-    """nmse.csv from {variant: (mean, stderr)} of NMSE and of tau_final."""
+def nmse_table(per_trial: dict):
+    """nmse.csv: per variant and slot, the mean and standard error over
+    trials of the NMSE and of tau_final, from `AggregateResult.per_trial`."""
     rows = []
-    for variant, (mean, se) in nmse.items():
-        tau_mean, tau_se = tau_final[variant]
-        rows += [(j + 1, variant, mean[j], se[j], tau_mean[j], tau_se[j])
-                 for j in range(len(mean))]
+    for variant, data in per_trial.items():
+        stats = []
+        with warnings.catch_warnings():
+            # a slot with no valid trial has a NaN mean
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for key in ("nmse", "tau_final"):
+                stats += [np.nanmean(data[key], axis=0), _rate_stderr(data[key])]
+        rows += [(j + 1, variant, *(column[j] for column in stats))
+                 for j in range(len(stats[0]))]
     return ["slot_j", "variant", "nmse", "se_nmse", "tau_final",
             "se_tau_final"], rows
 
@@ -549,8 +526,7 @@ def emit_csv(result: AggregateResult, out_dir) -> dict:
     # median channel gain and the converged slot-1 noise level
     scenario = result.spec.scenario
     gamma = float(np.median(scenario.path_losses))
-    first_variant = result.spec.variants[0]
-    tau = float(np.sqrt(result.se_traces[first_variant][0].fixed_point))
+    tau = float(np.sqrt(result.se_traces["nosi"][0].fixed_point))
     scale = np.sqrt(gamma)
     curve_kw = dict(gamma=gamma, tau=tau, tau_prev=tau,
                     alpha=scenario.persistence, beta=scenario.beta,
@@ -560,7 +536,7 @@ def emit_csv(result: AggregateResult, out_dir) -> dict:
                                                      **curve_kw)
     paths = write_tables(out_dir, {
         "roc": roc_table(result.curves),
-        "nmse": nmse_table(result.nmse, result.tau_final),
+        "nmse": nmse_table(result.per_trial),
         "se_trace": se_trace_table(result.se_traces),
         "denoiser_curve": denoiser_response_curve(
             lam=scenario.activity_rate,

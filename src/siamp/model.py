@@ -77,9 +77,10 @@ class ScenarioConfig:
         if not 0.0 <= self.persistence <= 1.0:
             out.append(f"persistence must be in [0,1], got {self.persistence}")
         elif 0.0 < self.activity_rate < 1.0:
-            b = self.activity_rate * (1.0 - self.persistence) / (1.0 - self.activity_rate)
-            if not 0.0 <= b <= 1.0:
-                out.append(f"derived beta={b:.6g} outside [0,1]")
+            try:
+                beta_from(self.activity_rate, self.persistence)
+            except InvalidConfig as exc:
+                out.append(str(exc))
         if not self.noise_variance > 0.0:
             out.append(f"noise_variance must be positive, got {self.noise_variance}")
         gammas = np.asarray(self.path_losses, dtype=float)

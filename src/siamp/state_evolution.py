@@ -32,7 +32,7 @@ class SeParams:
     alpha: float
     beta: float
     gammas: np.ndarray  # channel gains, drawn uniformly
-    sample_count: int = 100_000
+    sample_count: int
     tau_prev: float | None = None  # converged level of the previous block (SI mode)
 
     def __post_init__(self):
@@ -46,7 +46,7 @@ class SeParams:
             raise InvalidConfig("tau_prev must be positive when given")
 
     @classmethod
-    def from_scenario(cls, config: ScenarioConfig, sample_count: int = 100_000,
+    def from_scenario(cls, config: ScenarioConfig, sample_count: int,
                       tau_prev: float | None = None) -> "SeParams":
         """Gains sampled from the scenario's empirical path-loss distribution."""
         return cls(noise_variance=config.noise_variance,

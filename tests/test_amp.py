@@ -239,11 +239,10 @@ class TestRunTrial:
     @pytest.mark.parametrize("m", [1, 2])
     def test_variants_match_separate_trials(self, m):
         cfg = small_config(num_antennas=m, num_blocks=3)
-        variants = ("si", "nosi")
-        joint = run_trial_variants(cfg, variants)
-        assert [t.variant for t in joint] == list(variants)
-        for trial, variant in zip(joint, variants):
-            alone = run_trial(cfg, variant=variant)
+        joint = run_trial_variants(cfg)
+        assert [t.variant for t in joint] == ["si", "nosi"]
+        for trial in joint:
+            alone = run_trial(cfg, variant=trial.variant)
             assert len(trial.blocks) == len(alone.blocks) == 3
             for a, b in zip(trial.blocks, alone.blocks):
                 np.testing.assert_array_equal(a.x_hat, b.x_hat)

@@ -6,6 +6,9 @@ import pytest
 
 from siamp.cli import main
 
+SIMULATE_OUTPUTS = ("roc.csv", "nmse.csv", "se_trace.csv", "denoiser_curve.csv",
+                    "threshold_curve.csv", "metadata.json")
+
 
 @pytest.fixture
 def tiny_config(tmp_path):
@@ -29,11 +32,23 @@ def test_simulate_writes_outputs(tiny_config, tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["simulate", str(tiny_config), "--out-dir", str(out)])
     assert code == 0
-    for name in ("roc.csv", "nmse.csv", "se_trace.csv", "denoiser_curve.csv",
-                 "threshold_curve.csv", "metadata.json"):
+    for name in SIMULATE_OUTPUTS:
         assert (out / name).exists()
     stdout = capsys.readouterr().out
     assert "completed 3 trials" in stdout
+
+
+@pytest.mark.parametrize("persistence", ["0.0", "1.0"])
+def test_simulate_at_extreme_persistence(tiny_config, tmp_path, persistence):
+    # one threshold limit is infinite here; the run still writes every file
+    text = tiny_config.read_text().replace("persistence = 0.46",
+                                           f"persistence = {persistence}")
+    tiny_config.write_text(text)
+    out = tmp_path / "out"
+    assert main(["simulate", str(tiny_config), "--out-dir", str(out),
+                 "--trials", "2"]) == 0
+    for name in SIMULATE_OUTPUTS:
+        assert (out / name).exists()
 
 
 def test_roc_subcommand(tiny_config, tmp_path):

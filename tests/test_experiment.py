@@ -1,6 +1,7 @@
 import csv
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ def desk_options(**overrides):
     opts = {"num_devices": "60", "pilot_length": "24", "num_antennas": "1",
             "num_blocks": "2", "activity_rate": "0.1", "persistence": "0.46",
             "gamma": "1.0", "noise_variance": "0.1", "rng_seed": "5",
-            "num_trials": "4", "l_grid": "-10:10:21", "variants": "si,nosi"}
+            "num_trials": "4", "l_grid": "-10:10:21"}
     opts.update(overrides)
     return opts
 
@@ -80,19 +81,28 @@ class TestParseConfig:
         ("amp_max_iters", "50"), ("amp_convergence_tol", "1e-6"),
         ("cell_radius_km", "1.0"), ("min_radius_km", "0.05"),
         ("tx_power_dbm", "23"), ("noise_psd_dbm_hz", "-169"),
-        ("bandwidth_hz", "1e7")])
+        ("bandwidth_hz", "1e7"), ("variants", "si,nosi")])
     def test_fixed_constant_key_is_parse_error(self, tmp_path, key, value):
-        # the AMP stopping rule and the cell are constants, not options
+        # the AMP stopping rule, the cell and the compared variants are
+        # constants, not options
         path = tmp_path / "exp.cfg"
         path.write_text(f"preset = fig3-desk\n{key} = {value}\n")
         with pytest.raises(ParseError, match=key):
             parse_config(path)
 
-    def test_duplicate_variants_rejected(self):
-        # a repeated variant would run its chain twice and repeat its rows
+    @pytest.mark.parametrize("key", ["gamma", "noise_variance"])
+    def test_annulus_rejects_option_it_ignores(self, key):
+        # annulus placement draws the gains and fixes the noise variance
         with pytest.raises(ValidationError) as exc:
-            spec_from_options(desk_options(variants="si,si"))
-        assert any("variants" in v for v in exc.value.violations)
+            spec_from_options({"preset": "fig3-desk", key: "5"})
+        assert any(key in v for v in exc.value.violations)
+
+    @pytest.mark.parametrize(
+        "path", sorted(Path(__file__).parent.parent.glob("configs/*.cfg")),
+        ids=lambda p: p.name)
+    def test_shipped_config_loads(self, path):
+        spec = parse_config(path)
+        assert spec.num_trials >= 1
 
     def test_bad_value_reports_field(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -147,12 +157,12 @@ class TestAnnulusGains:
 
 class TestRunExperiment:
     def test_single_trial_single_block(self):
-        spec = spec_from_options(desk_options(num_blocks="1", num_trials="1",
-                                              variants="nosi"))
+        spec = spec_from_options(desk_options(num_blocks="1", num_trials="1"))
         result = run_experiment(spec)
-        assert list(result.curves) == ["nosi"]
-        assert len(result.curves["nosi"]) == 1
-        assert result.curves["nosi"][0].num_trials == 1
+        assert list(result.curves) == ["si", "nosi"]
+        for curves in result.curves.values():
+            assert len(curves) == 1
+            assert curves[0].num_trials == 1
 
     def test_parallel_matches_serial(self):
         spec = spec_from_options(desk_options())
@@ -163,13 +173,6 @@ class TestRunExperiment:
                 np.testing.assert_array_equal(a.p_fa, b.p_fa)
                 np.testing.assert_array_equal(a.p_md, b.p_md)
                 np.testing.assert_array_equal(a.se_p_md, b.se_p_md)
-
-    def test_variant_isolation(self):
-        both = run_experiment(spec_from_options(desk_options()))
-        only = run_experiment(spec_from_options(desk_options(variants="nosi")))
-        for a, b in zip(both.curves["nosi"], only.curves["nosi"]):
-            np.testing.assert_array_equal(a.p_fa, b.p_fa)
-            np.testing.assert_array_equal(a.p_md, b.p_md)
 
     def test_one_scenario_and_shared_first_block_per_trial(self, monkeypatch):
         calls = {"generate_scenario": 0, "run_trial": 0, "run_block": 0,
@@ -188,8 +191,8 @@ class TestRunExperiment:
         counted(amp, "run_block")
         counted(experiment, "sweep_block_counts")
         spec = spec_from_options(desk_options(num_blocks="3"))
-        index, out = _run_trial_counts((spec, 0))
-        assert index == 0 and set(out) == set(spec.variants)
+        index, out, error = _run_trial_counts((spec, 0))
+        assert index == 0 and error is None and set(out) == set(spec.variants)
         assert calls["generate_scenario"] == 1
         assert calls["run_trial"] == len(spec.variants)
         # block 1 has no side information under either variant, so it is
@@ -222,18 +225,16 @@ class TestRunExperiment:
         assert all(t is nosi for t in traces["nosi"])
         assert traces["si"][0] is nosi
         assert traces["si"][1:] == solved[1:]
-        si_only = chained_se_traces(replace(spec, variants=("si",)))
-        assert si_only["si"][0].fixed_point == nosi.fixed_point
 
     def _fail_one_trial(self, monkeypatch, exc):
         run = experiment.run_trial_variants
         calls = []
 
-        def failing(config, variants):
+        def failing(config):
             calls.append(config.rng_seed)
             if len(calls) == 2:
                 raise exc
-            return run(config, variants)
+            return run(config)
         monkeypatch.setattr(experiment, "run_trial_variants", failing)
 
     def test_non_library_error_propagates(self, monkeypatch):
