@@ -131,7 +131,7 @@ def amp_iterate(state: AmpState, y: np.ndarray, pilots: np.ndarray,
 
 
 def run_block(y: np.ndarray, pilots: np.ndarray, si: SideInfo | None,
-              config: model.ScenarioConfig, denoiser_fn=None) -> AmpBlockResult:
+              config: model.ScenarioConfig) -> AmpBlockResult:
     """Iterate one block to convergence from x=0, residual=y."""
     n, m = config.num_devices, config.num_antennas
     state = AmpState(x=np.zeros((n, m), dtype=complex), residual=y.copy(),
@@ -141,7 +141,7 @@ def run_block(y: np.ndarray, pilots: np.ndarray, si: SideInfo | None,
     res_trace = []
     converged = False
     for _ in range(MAX_ITERS):
-        new = amp_iterate(state, y, pilots, si, config, denoiser_fn)
+        new = amp_iterate(state, y, pilots, si, config)
         change = (np.linalg.norm(new.x - state.x)
                   / max(np.linalg.norm(state.x), _NORM_FLOOR))
         tau_trace.append(new.tau)

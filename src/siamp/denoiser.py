@@ -16,7 +16,6 @@ helpers with it.  `draw_case_pair` samples the inputs of such checks.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logsumexp
 
 from .errors import InvalidConfig
 
@@ -144,13 +143,13 @@ def denoise_rows(x_rows: np.ndarray, gamma, tau: float, lam: float,
     # differently and change the emitted CSV bytes
     q = (_log_or_neg_inf((1.0 - lam) / lam)
          + (log_gain - delta * norm_sq)) + si_term
-    with np.errstate(over="ignore"):
-        gain = c / (1.0 + np.exp(q))
-    # Wirtinger derivative of gain(||x||^2)*x averaged over entries:
-    # c*g*(1 + Delta*(||x||^2/M)*(1-g)) with g the posterior-active factor.
-    g = expit(-q)
-    one_minus_g = expit(q)
-    deriv_avg = c * g * (1.0 + delta * (norm_sq / num_antennas) * one_minus_g)
+    # one exponential for the gain and the posterior-active factor g
+    with np.errstate(over="ignore"):  # exp(q) = inf gives gain = g = 0
+        denom = 1.0 + np.exp(q)
+    gain = c / denom
+    g = 1.0 / denom
+    # Wirtinger derivative of gain(||x||^2)*x averaged over entries
+    deriv_avg = c * g * (1.0 + delta * (norm_sq / num_antennas) * (1.0 - g))
     return np.atleast_1d(gain)[..., None] * x_rows, np.atleast_1d(deriv_avg)
 
 
@@ -195,8 +194,9 @@ def oracle_posterior_mean(x_tilde: np.ndarray, si: SideInfo,
     """
     ll = case_log_likelihoods(x_tilde, si, params)
     with np.errstate(invalid="ignore"):
-        p_active_now = np.exp(logsumexp(ll[[0, 2]]) - logsumexp(ll))
-    if not np.isfinite(p_active_now):  # both logsumexp at -inf cannot happen
+        p_active_now = np.exp(np.logaddexp(ll[0], ll[2])
+                              - np.logaddexp.reduce(ll))
+    if not np.isfinite(p_active_now):  # both log-sum-exps at -inf cannot happen
         raise InvalidConfig("degenerate case likelihoods")
     c = params.gamma / (params.gamma + params.tau ** 2)
     return c * p_active_now * np.asarray(x_tilde)

@@ -10,7 +10,6 @@ blocks; sweeping it traces the false-alarm / missed-detection tradeoff.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .denoiser import (DenoiserParams, SideInfo, _log_cgauss,
                        _log_or_neg_inf, _row_norm_sq, log_odds_terms)
@@ -90,14 +89,14 @@ def llr_appendix_oracle(x_tilde: np.ndarray, si: SideInfo,
     cur_inactive = _log_cgauss(x_tilde, tau_sq, m)
     prev_active = _log_cgauss(si.pseudo_obs, gamma + taup_sq, m)
     prev_inactive = _log_cgauss(si.pseudo_obs, taup_sq, m)
-    log_joint_active = logsumexp([
+    log_joint_active = np.logaddexp(
         _log_or_neg_inf(alpha * lam) + cur_active + prev_active,
         _log_or_neg_inf(beta * (1.0 - lam)) + cur_active + prev_inactive,
-    ]) - np.log(lam)
-    log_joint_inactive = logsumexp([
+    ) - np.log(lam)
+    log_joint_inactive = np.logaddexp(
         _log_or_neg_inf((1.0 - alpha) * lam) + cur_inactive + prev_active,
         _log_or_neg_inf((1.0 - beta) * (1.0 - lam)) + cur_inactive + prev_inactive,
-    ]) - np.log(1.0 - lam)
+    ) - np.log(1.0 - lam)
     return float(log_joint_active - log_joint_inactive)
 
 

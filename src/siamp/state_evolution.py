@@ -20,6 +20,9 @@ from .model import ScenarioConfig
 
 __all__ = ["SeParams", "SeTrace", "se_step", "se_fixed_point"]
 
+REL_TOL = 1e-4  # relative change of tau^2 below which a trace has converged
+MAX_STEPS = 200  # steps after which a trace is returned unconverged
+
 
 @dataclass(frozen=True)
 class SeParams:
@@ -55,10 +58,6 @@ class SeParams:
                    lam=config.activity_rate, alpha=config.persistence,
                    beta=config.beta, gammas=config.path_losses,
                    sample_count=sample_count, tau_prev=tau_prev)
-
-    @property
-    def mean_gamma(self) -> float:
-        return float(np.mean(self.gammas))
 
 
 @dataclass
@@ -128,27 +127,26 @@ def se_step(tau_sq: float, params: SeParams, rng: np.random.Generator,
     return next_tau_sq, stderr
 
 
-def se_fixed_point(params: SeParams, rng: np.random.Generator,
-                   rel_tol: float = 1e-4, max_steps: int = 200,
-                   denoiser_fn=None) -> SeTrace:
+def se_fixed_point(params: SeParams, rng: np.random.Generator) -> SeTrace:
     """Iterate the recursion to its fixed point.
 
     Starts from the zero-denoiser level noise_variance + load*lam*E[gamma]
-    and stops when the relative change drops below `rel_tol`.  Every step
+    and stops when the relative change drops below `REL_TOL`.  Every step
     replays the draws made from `rng`'s starting state.  A trace that fails
-    to converge within `max_steps` is returned with converged=False.
+    to converge within `MAX_STEPS` is returned with converged=False.
     """
     start = rng.bit_generator.state
-    tau_sq = params.noise_variance + params.load * params.lam * params.mean_gamma
+    mean_gamma = float(np.mean(params.gammas))
+    tau_sq = params.noise_variance + params.load * params.lam * mean_gamma
     trace = [tau_sq]
     errs = [0.0]
     converged = False
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         rng.bit_generator.state = start
-        nxt, err = se_step(tau_sq, params, rng, denoiser_fn)
+        nxt, err = se_step(tau_sq, params, rng)
         trace.append(nxt)
         errs.append(err)
-        converged = abs(nxt - tau_sq) / tau_sq < rel_tol
+        converged = abs(nxt - tau_sq) / tau_sq < REL_TOL
         tau_sq = nxt
         if converged:
             break

@@ -1,9 +1,12 @@
 import csv
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import siamp
 from siamp.cli import main
 
 SIMULATE_OUTPUTS = ("roc.csv", "nmse.csv", "se_trace.csv", "denoiser_curve.csv",
@@ -147,3 +150,20 @@ def test_preset_flag(tmp_path):
                  "--out-dir", str(out), "--seed", "9"])
     assert code == 0
     assert os.path.exists(out / "roc.csv")
+
+
+def test_runtime_imports_no_scipy():
+    # numpy is the one runtime dependency: the CLI and a preset spec load
+    # no scipy module in a fresh interpreter
+    code = ("import sys\n"
+            "import siamp.cli\n"
+            "from siamp import spec_from_options\n"
+            "spec_from_options({'preset': 'fig3-desk'})\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')))\n")
+    src = os.path.dirname(os.path.dirname(siamp.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from scipy.special import logsumexp
+from scipy.special import expit, logsumexp
 
 from siamp import (DenoiserParams, InvalidConfig, SideInfo, beta_from,
                    case_log_likelihoods, denoise_rows, draw_case_pair,
@@ -248,6 +250,43 @@ class TestDerivative:
         _, deriv = denoise_rows(x[None, :], params.gamma, params.tau,
                                 params.lam, params.alpha, params.beta, si)
         assert deriv.dtype == np.float64 and deriv.shape == (1,)
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 8])
+    @pytest.mark.parametrize("alpha", [0.0, 0.46, 0.91, 1.0])
+    def test_matches_two_logistic_form(self, m, alpha):
+        # one exponential for g and 1-g gives the derivative of the form
+        # with two independent logistics, c*expit(-q)*(1+D*(E/M)*expit(q))
+        rng = np.random.default_rng(m * 100 + int(alpha * 100))
+        n, lam, tau = 4000, 0.1, 1.0
+        beta = beta_from(lam, alpha)
+        gamma = tau ** 2 * 10.0 ** rng.uniform(-2.0, 6.0, n)
+
+        def rows(active):
+            z = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+            var = np.where(active, gamma + tau ** 2, tau ** 2)
+            return np.sqrt(var / 2)[:, None] * z
+
+        x = rows(rng.random(n) < lam)
+        x[::50] = 0.0
+        si = SideInfo(pseudo_obs=rows(rng.random(n) < lam), tau_prev=tau)
+        _, deriv = denoise_rows(x, gamma, tau, lam, alpha, beta, si)
+        delta, log_gain, si_term = log_odds_terms(gamma, tau, alpha, beta, m, si)
+        norm_sq = np.sum(np.abs(x) ** 2, axis=-1)
+        q = np.log((1 - lam) / lam) + (log_gain - delta * norm_sq) + si_term
+        c = gamma / (gamma + tau ** 2)
+        reference = c * expit(-q) * (1 + delta * (norm_sq / m) * expit(q))
+        np.testing.assert_allclose(deriv, reference, rtol=1e-10, atol=0.0)
+
+    def test_overflowing_exponential_gives_zero(self):
+        # exp(q) overflows for a zero row at gamma/tau^2 = 1e300 and M = 8,
+        # and for a small nonzero row beside it
+        x = np.zeros((2, 8), complex)
+        x[1] = 1e-3
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            out, deriv = denoise_rows(x, 1e300, 1.0, 0.1, 0.46, 0.06)
+        assert np.all(out == 0.0)
+        np.testing.assert_array_equal(deriv, [0.0, 0.0])
 
 
 def case_posterior(x_tilde, si, params):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from siamp import (InvalidConfig, SeParams, se_fixed_point, se_step,
-                   spec_from_options)
+                   spec_from_options, state_evolution)
 from siamp.experiment import chained_se_traces
 from siamp.streams import substream
 
@@ -114,10 +114,11 @@ class TestFixedPoint:
         with pytest.raises(InvalidConfig):
             make_params(sample_count=1)
 
-    def test_nonconvergence_flagged(self):
+    def test_nonconvergence_flagged(self, monkeypatch):
+        monkeypatch.setattr(state_evolution, "REL_TOL", 0.0)
+        monkeypatch.setattr(state_evolution, "MAX_STEPS", 5)
         params = make_params(sample_count=5000)
-        trace = se_fixed_point(params, rng=substream(11, "se"),
-                               rel_tol=0.0, max_steps=5)
+        trace = se_fixed_point(params, rng=substream(11, "se"))
         assert not trace.converged
         assert len(trace.tau_sq) == 6
 
