@@ -13,7 +13,7 @@ from .amp import (AmpBlockResult, AmpState, TrialResult, amp_iterate,
                   run_trial_variants)
 from .denoiser import (DenoiserParams, SideInfo, case_log_likelihoods,
                        denoise_rows, draw_case_pair, log_odds_terms,
-                       oracle_posterior_mean)
+                       oracle_posterior_mean, si_log_odds)
 from .detector import (BlockDetection, DetectionMetrics, DetectionReport,
                        RocCurve, aggregate_slot_counts, block_detection,
                        compute_metrics, detect_block, llr_appendix_oracle,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import detector, model
-from .denoiser import SideInfo, denoise_rows
+from .denoiser import SideInfo, denoise_rows, si_log_odds
 from .errors import DimensionMismatch, NonFiniteState
 
 # stopping rule of every block: converged once the relative estimate
@@ -102,13 +102,14 @@ def _tau_floor(config: model.ScenarioConfig) -> float:
 
 
 def amp_iterate(state: AmpState, y: np.ndarray, pilots: np.ndarray,
-                si: SideInfo | None, config: model.ScenarioConfig,
+                si_term, config: model.ScenarioConfig,
                 denoiser_fn=None) -> AmpState:
     """One estimator update followed by the corrected residual update.
 
-    `denoiser_fn`, when given, replaces the MMSE denoiser (test hook);
-    it maps the (N, M) pseudo-observations to (estimates, per-device
-    derivative averages).
+    `si_term` is the block's side-information log-odds term (0.0 for
+    none).  `denoiser_fn`, when given, replaces the MMSE denoiser (test
+    hook); it maps the (N, M) pseudo-observations to (estimates,
+    per-device derivative averages).
     """
     n, l = config.num_devices, config.pilot_length
     x_tilde = pseudo_observations(state.x, state.residual, pilots)
@@ -116,8 +117,7 @@ def amp_iterate(state: AmpState, y: np.ndarray, pilots: np.ndarray,
         x_next, deriv = denoiser_fn(x_tilde)
     else:
         x_next, deriv = denoise_rows(x_tilde, config.path_losses, state.tau,
-                                     config.activity_rate, config.persistence,
-                                     config.beta, si)
+                                     config.activity_rate, si_term)
     # single correction scalar: population average of the per-device
     # entrywise-averaged derivatives
     onsager = float(np.mean(deriv))
@@ -130,7 +130,7 @@ def amp_iterate(state: AmpState, y: np.ndarray, pilots: np.ndarray,
     return AmpState(x=x_next, residual=residual, tau=tau, t=state.t + 1)
 
 
-def run_block(y: np.ndarray, pilots: np.ndarray, si: SideInfo | None,
+def run_block(y: np.ndarray, pilots: np.ndarray, si_term,
               config: model.ScenarioConfig) -> AmpBlockResult:
     """Iterate one block to convergence from x=0, residual=y."""
     n, m = config.num_devices, config.num_antennas
@@ -141,7 +141,7 @@ def run_block(y: np.ndarray, pilots: np.ndarray, si: SideInfo | None,
     res_trace = []
     converged = False
     for _ in range(MAX_ITERS):
-        new = amp_iterate(state, y, pilots, si, config)
+        new = amp_iterate(state, y, pilots, si_term, config)
         change = (np.linalg.norm(new.x - state.x)
                   / max(np.linalg.norm(state.x), _NORM_FLOOR))
         tau_trace.append(new.tau)
@@ -178,12 +178,13 @@ def _track_block(config: model.ScenarioConfig,
                  si: SideInfo | None):
     """Estimate block j of the scenario given side information si, detect
     its activity and score it at l = 0; returns (estimate, detection,
-    report)."""
+    report).  si enters both through its log-odds term, computed once."""
     truth = scenario.blocks[j]
-    result = run_block(scenario.received[j], scenario.pilots, si, config)
-    det = detector.block_detection(
-        result.pseudo_obs, result.tau_final, config.path_losses,
-        config.persistence, config.beta, truth.activity, si)
+    si_term = 0.0 if si is None else si_log_odds(
+        si, config.path_losses, config.persistence, config.beta)
+    result = run_block(scenario.received[j], scenario.pilots, si_term, config)
+    det = detector.block_detection(result.pseudo_obs, result.tau_final,
+                                   config.path_losses, truth.activity, si_term)
     report = detector.detect_block(det, 0.0, x_hat=result.x_hat,
                                    x_true=truth.effective_signal)
     return result, det, report

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .errors import SiAmpError
+from .errors import InvalidConfig, SiAmpError
 from .experiment import (chained_se_traces, denoiser_response_curve,
                          detector_threshold_curve, emit_csv,
                          read_config_file, roc_table, run_experiment,
@@ -90,17 +90,35 @@ def _cmd_se_trace(args) -> int:
     return 0
 
 
+def _curve_grid(flag: str, max_value: float, points: int) -> np.ndarray:
+    """`points` evenly spaced values from 0 to `max_value`, checked."""
+    if not 0.0 < max_value < np.inf:
+        raise InvalidConfig(f"{flag} must be positive and finite, "
+                            f"got {max_value}")
+    if points < 2:
+        raise InvalidConfig(f"--points must be at least 2, got {points}")
+    return np.linspace(0.0, max_value, points)
+
+
 def _cmd_denoiser_curve(args) -> int:
-    grid = np.linspace(0.0, args.max_input, args.points)
-    table = denoiser_response_curve(
-        prev_magnitudes=[float(v) for v in args.prev.split(",")],
-        grid=grid, lam=0.1, **_CURVE_DEFAULTS)
+    grid = _curve_grid("--max-input", args.max_input, args.points)
+    try:
+        prev = [float(v) for v in args.prev.split(",")]
+    except ValueError:
+        prev = [np.nan]
+    if not all(0.0 <= v < np.inf for v in prev):
+        raise InvalidConfig("--prev must be a comma list of finite "
+                            f"nonnegative magnitudes, got {args.prev!r}")
+    table = denoiser_response_curve(prev_magnitudes=prev, grid=grid, lam=0.1,
+                                    **_CURVE_DEFAULTS)
     _print_paths(write_tables(args.out_dir, {"denoiser_curve": table}))
     return 0
 
 
 def _cmd_detector_curve(args) -> int:
-    prev_grid = np.linspace(0.0, args.max_prev, args.points)
+    prev_grid = _curve_grid("--max-prev", args.max_prev, args.points)
+    if not np.isfinite(args.l):
+        raise InvalidConfig(f"--l must be finite, got {args.l}")
     table, lower, upper = detector_threshold_curve(
         l=args.l, prev_grid=prev_grid, **_CURVE_DEFAULTS)
     _print_paths(write_tables(args.out_dir, {"threshold_curve": table}))
@@ -131,11 +149,15 @@ def _cmd_amp_trace(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     from .denoiser import (DenoiserParams, denoise_rows, draw_case_pair,
-                           oracle_posterior_mean)
+                           oracle_posterior_mean, si_log_odds)
     from .detector import block_detection, detect_block, llr_appendix_oracle
     from .model import beta_from
 
-    rng = substream(args.seed if args.seed is not None else 0, "oracle-check")
+    seed = args.seed if args.seed is not None else 0
+    if args.samples < 1 or seed < 0:
+        raise InvalidConfig("--samples must be at least 1 and --seed "
+                            f"nonnegative, got {args.samples} and {seed}")
+    rng = substream(seed, "oracle-check")
     lam, alpha = 0.1, 0.91
     beta = beta_from(lam, alpha)
     max_denoise_err = 0.0
@@ -150,13 +172,14 @@ def _cmd_oracle_check(args) -> int:
         params = DenoiserParams(gamma=gamma, tau=tau, lam=lam, alpha=alpha,
                                 beta=beta, num_antennas=m)
         x_t, si = draw_case_pair(rng, params, tau_prev)
-        ours = denoise_rows(x_t[None, :], gamma, tau, lam, alpha, beta, si)[0][0]
+        si_term = si_log_odds(si, gamma, alpha, beta)
+        ours = denoise_rows(x_t[None, :], gamma, tau, lam, si_term)[0][0]
         ref = oracle_posterior_mean(x_t, si, params)
         scale = max(float(np.linalg.norm(ref)), 1e-300)
         max_denoise_err = max(max_denoise_err,
                               float(np.linalg.norm(ours - ref)) / scale)
-        det = block_detection(x_t[None, :], tau, gamma, alpha, beta,
-                              np.zeros(1, dtype=bool), si)
+        det = block_detection(x_t[None, :], tau, gamma,
+                              np.zeros(1, dtype=bool), si_term)
         llr = float(det.llr[0])
         llr_ref = llr_appendix_oracle(x_t, si, params)
         max_llr_err = max(max_llr_err, abs(llr - llr_ref) / max(abs(llr_ref), 1.0))

@@ -5,7 +5,9 @@ data-dependent scalar.  With side information (the previous block's
 converged pseudo-observation and its noise level) the shrinkage is biased
 by how active the device looked one block earlier.  The shrinkage and the
 activity detector's likelihood-ratio test both depend on the data through
-one posterior log-odds, whose terms `log_odds_terms` computes for both.
+one posterior log-odds.  `log_odds_terms` computes its data terms for
+both; `si_log_odds` computes its side-information term, which is fixed
+for a whole block, once per block for both.
 
 `oracle_posterior_mean` is an independent implementation of the same
 posterior mean built directly from the four-case Gaussian-mixture
@@ -23,6 +25,7 @@ __all__ = [
     "DenoiserParams",
     "SideInfo",
     "log_odds_terms",
+    "si_log_odds",
     "denoise_rows",
     "case_log_likelihoods",
     "oracle_posterior_mean",
@@ -80,39 +83,45 @@ def _log_or_neg_inf(p) -> float:
     return float(np.log(p)) if p > 0.0 else -np.inf
 
 
-def log_odds_terms(gamma, tau: float, alpha: float, beta: float,
-                   num_antennas: int, si: SideInfo | None = None):
-    """The three terms of the posterior activity log-odds, vectorized.
+def log_odds_terms(gamma, tau: float, num_antennas: int):
+    """The two data terms of the posterior activity log-odds, vectorized.
 
-    Returns (delta, log_gain, si_term) with delta = 1/tau^2 - 1/(tau^2+gamma),
-    log_gain = M*log((tau^2+gamma)/tau^2) and si_term the log of the
-    side-information correction (beta+(1-beta)*mu_prev)/(alpha+(1-alpha)*mu_prev),
-    or 0.0 without side information.  For an observation of squared norm E
-    the log of the inactive/active likelihood factor mu is log_gain - delta*E;
-    the LLR of "active now" is delta*E - (log_gain + si_term).  The SI factor
-    tends to (1-beta)/(1-alpha) when the previous-block evidence is weak
-    (mu_prev large) and to beta/alpha when it strongly indicates activity
-    (mu_prev -> 0).  Everything stays in the log domain: mu itself overflows
-    double precision already at moderate antenna counts and SNRs.
+    Returns (delta, log_gain) with delta = 1/tau^2 - 1/(tau^2+gamma) and
+    log_gain = M*log((tau^2+gamma)/tau^2).  For an observation of squared
+    norm E the log of the inactive/active likelihood factor mu is
+    log_gain - delta*E; the LLR of "active now" is
+    delta*E - (log_gain + si_term), with si_term from `si_log_odds` (0.0
+    without side information).  Everything stays in the log domain: mu
+    itself overflows double precision already at moderate antenna counts
+    and SNRs.
     """
     tau_sq = tau * tau
     delta = 1.0 / tau_sq - 1.0 / (tau_sq + gamma)
     log_gain = num_antennas * np.log((tau_sq + gamma) / tau_sq)
-    si_term = 0.0
-    if si is not None:
-        delta_prev, log_gain_prev, _ = log_odds_terms(gamma, si.tau_prev, alpha,
-                                                      beta, num_antennas)
-        log_mu_prev = log_gain_prev - delta_prev * _row_norm_sq(si.pseudo_obs)
-        num = np.logaddexp(_log_or_neg_inf(beta),
-                           _log_or_neg_inf(1.0 - beta) + log_mu_prev)
-        den = np.logaddexp(_log_or_neg_inf(alpha),
-                           _log_or_neg_inf(1.0 - alpha) + log_mu_prev)
-        si_term = num - den
-    return delta, log_gain, si_term
+    return delta, log_gain
+
+
+def si_log_odds(si: SideInfo, gamma, alpha: float, beta: float):
+    """The side-information term of the posterior activity log-odds.
+
+    Returns log((beta+(1-beta)*mu_prev)/(alpha+(1-alpha)*mu_prev)) per
+    device, mu_prev being the previous block's inactive/active likelihood
+    factor.  It tends to log((1-beta)/(1-alpha)) when the previous-block
+    evidence is weak (mu_prev large) and to log(beta/alpha) when it
+    strongly indicates activity (mu_prev -> 0).
+    """
+    delta_prev, log_gain_prev = log_odds_terms(gamma, si.tau_prev,
+                                               si.pseudo_obs.shape[-1])
+    log_mu_prev = log_gain_prev - delta_prev * _row_norm_sq(si.pseudo_obs)
+    num = np.logaddexp(_log_or_neg_inf(beta),
+                       _log_or_neg_inf(1.0 - beta) + log_mu_prev)
+    den = np.logaddexp(_log_or_neg_inf(alpha),
+                       _log_or_neg_inf(1.0 - alpha) + log_mu_prev)
+    return num - den
 
 
 def denoise_rows(x_rows: np.ndarray, gamma, tau: float, lam: float,
-                 alpha: float, beta: float, si: SideInfo | None = None):
+                 si_term=0.0):
     """Vectorized MMSE denoiser over device rows.
 
     Parameters
@@ -120,9 +129,9 @@ def denoise_rows(x_rows: np.ndarray, gamma, tau: float, lam: float,
     x_rows : (N, M) complex pseudo-observations, one row per device.
     gamma : scalar or (N,) per-device channel power gains.
     tau : current pseudo-noise standard deviation (shared by all devices).
-    lam, alpha, beta : activity-model probabilities.
-    si : previous-block pseudo-observations ((M,) or (N, M)) and their
-        noise level; ``None`` selects the no-SI denoiser.
+    lam : marginal activity rate.
+    si_term : scalar or (N,) side-information log-odds term from
+        `si_log_odds`; 0.0 selects the no-SI denoiser.
 
     Returns
     -------
@@ -136,8 +145,7 @@ def denoise_rows(x_rows: np.ndarray, gamma, tau: float, lam: float,
     num_antennas = x_rows.shape[-1]
     gamma = np.asarray(gamma, dtype=float)
     norm_sq = _row_norm_sq(x_rows)
-    delta, log_gain, si_term = log_odds_terms(gamma, tau, alpha, beta,
-                                              num_antennas, si)
+    delta, log_gain = log_odds_terms(gamma, tau, num_antennas)
     c = gamma / (gamma + tau * tau)
     # q = log((1-lam)/lam) - LLR; other groupings of these sums round
     # differently and change the emitted CSV bytes

@@ -49,10 +49,9 @@ class DetectionMetrics:
 
 @dataclass(frozen=True)
 class DetectionReport:
-    """Per-device test outcomes plus block-level metrics at one `l`."""
+    """Per-device test outcomes plus block-level metrics at one `l`; the
+    LLRs and energies it tests are those of its `BlockDetection`."""
 
-    llr: np.ndarray  # (N,)
-    energy: np.ndarray  # (N,)
     threshold: np.ndarray  # (N,)
     decisions: np.ndarray  # (N,) bool
     metrics: DetectionMetrics
@@ -127,22 +126,20 @@ def compute_metrics(decisions: np.ndarray, activity: np.ndarray,
                             num_active=n_active, p_fa=p_fa, p_md=p_md, nmse=nmse)
 
 
-def block_detection(pseudo_obs: np.ndarray, tau: float, gamma, alpha: float,
-                    beta: float, activity: np.ndarray,
-                    si: SideInfo | None = None) -> BlockDetection:
+def block_detection(pseudo_obs: np.ndarray, tau: float, gamma,
+                    activity: np.ndarray, si_term=0.0) -> BlockDetection:
     """Vectorized detection state for one block (all devices at once).
 
     The LLR of "active now" is delta*energy - offset with
-    offset = M*log((tau^2+gamma)/tau^2) + (SI correction); testing it
-    against `l` is the energy test energy > (l + offset)/delta.
+    offset = M*log((tau^2+gamma)/tau^2) + si_term (`si_log_odds`); testing
+    it against `l` is the energy test energy > (l + offset)/delta.
     """
     gamma = np.asarray(gamma, dtype=float)
     if not np.all(gamma > 0.0):
         raise InvalidConfig("energy thresholds require gamma > 0")
     pseudo_obs = np.asarray(pseudo_obs)
     energy = _row_norm_sq(pseudo_obs)
-    delta, log_gain, si_term = log_odds_terms(gamma, tau, alpha, beta,
-                                              pseudo_obs.shape[-1], si)
+    delta, log_gain = log_odds_terms(gamma, tau, pseudo_obs.shape[-1])
     delta = np.broadcast_to(delta, energy.shape).copy()
     offset = np.broadcast_to(log_gain + si_term, energy.shape).astype(float)
     llr = delta * energy - offset
@@ -159,8 +156,8 @@ def detect_block(det: BlockDetection, l: float,
     threshold = (l + det.offset) / det.delta
     decisions = det.energy > threshold
     metrics = compute_metrics(decisions, det.activity, x_hat, x_true)
-    return DetectionReport(llr=det.llr, energy=det.energy, threshold=threshold,
-                           decisions=decisions, metrics=metrics)
+    return DetectionReport(threshold=threshold, decisions=decisions,
+                           metrics=metrics)
 
 
 def sweep_block_counts(det: BlockDetection, l_grid: np.ndarray):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .amp import VARIANTS, run_trial_variants
-from .denoiser import SideInfo, denoise_rows, log_odds_terms
+from .denoiser import SideInfo, denoise_rows, log_odds_terms, si_log_odds
 from .detector import _rate_stderr, aggregate_slot_counts, sweep_block_counts
 from .errors import ParseError, SiAmpError, ValidationError
 from .model import ScenarioConfig, path_loss_linear
@@ -406,14 +406,15 @@ def denoiser_response_curve(gamma: float, tau: float, tau_prev: float,
     grid = np.asarray(grid, dtype=float)
     x = np.zeros((grid.size, num_antennas), dtype=complex)
     x[:, 0] = grid
-    nosi, _ = denoise_rows(x, gamma, tau, lam, alpha, beta)
+    nosi, _ = denoise_rows(x, gamma, tau, lam)
     rows = [("nosi", 0.0, float(g), float(o))
             for g, o in zip(grid, np.abs(nosi[:, 0]))]
     for prev_mag in prev_magnitudes:
         prev = np.zeros((grid.size, num_antennas), dtype=complex)
         prev[:, 0] = prev_mag
-        si_out, _ = denoise_rows(x, gamma, tau, lam, alpha, beta,
-                                 SideInfo(pseudo_obs=prev, tau_prev=tau_prev))
+        si_term = si_log_odds(SideInfo(pseudo_obs=prev, tau_prev=tau_prev),
+                              gamma, alpha, beta)
+        si_out, _ = denoise_rows(x, gamma, tau, lam, si_term)
         rows += [("si", float(prev_mag), float(g), float(o))
                  for g, o in zip(grid, np.abs(si_out[:, 0]))]
     return ["variant", "prev_abs", "input_abs", "output_abs"], rows
@@ -434,9 +435,9 @@ def detector_threshold_curve(gamma: float, tau: float, tau_prev: float,
     prev_grid = np.asarray(prev_grid, dtype=float)
     prev = np.zeros((prev_grid.size, num_antennas), dtype=complex)
     prev[:, 0] = prev_grid
-    delta, log_gain, si_term = log_odds_terms(
-        gamma, tau, alpha, beta, num_antennas,
-        SideInfo(pseudo_obs=prev, tau_prev=tau_prev))
+    delta, log_gain = log_odds_terms(gamma, tau, num_antennas)
+    si_term = si_log_odds(SideInfo(pseudo_obs=prev, tau_prev=tau_prev),
+                          gamma, alpha, beta)
     t_si = (l + (log_gain + si_term)) / delta
     base = l + log_gain
     t_nosi = base / delta

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import SideInfo, denoise_rows
+from .denoiser import SideInfo, denoise_rows, si_log_odds
 from .errors import InvalidConfig
 from .model import ScenarioConfig
 
@@ -110,17 +110,18 @@ def se_step(tau_sq: float, params: SeParams, rng: np.random.Generator,
     scale = np.sqrt(gamma)[:, None]
     x_true = np.where(active_now[:, None], scale * _complex_std_normal(rng, (s, m)), 0.0)
     x_tilde = x_true + tau * _complex_std_normal(rng, (s, m))
-    prev_obs = si = None
+    prev_obs, si_term = None, 0.0
     if params.tau_prev is not None:
         x_prev = np.where(active_prev[:, None],
                           scale * _complex_std_normal(rng, (s, m)), 0.0)
         prev_obs = x_prev + params.tau_prev * _complex_std_normal(rng, (s, m))
-        si = SideInfo(pseudo_obs=prev_obs, tau_prev=params.tau_prev)
+        si_term = si_log_odds(SideInfo(pseudo_obs=prev_obs,
+                                       tau_prev=params.tau_prev),
+                              gamma, params.alpha, params.beta)
     if denoiser_fn is not None:
         estimates = denoiser_fn(x_tilde, x_true, prev_obs)
     else:
-        estimates, _ = denoise_rows(x_tilde, gamma, tau, params.lam,
-                                    params.alpha, params.beta, si)
+        estimates, _ = denoise_rows(x_tilde, gamma, tau, params.lam, si_term)
     per_sample_mse = np.sum(np.abs(estimates - x_true) ** 2, axis=-1) / m
     next_tau_sq = params.noise_variance + params.load * float(np.mean(per_sample_mse))
     stderr = params.load * float(np.std(per_sample_mse, ddof=1) / np.sqrt(s))

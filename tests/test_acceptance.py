@@ -15,7 +15,8 @@ from siamp import (DenoiserParams, ScenarioConfig, SeParams, beta_from,
                    block_detection, denoise_rows, detect_block,
                    draw_case_pair, emit_csv, generate_scenario,
                    llr_appendix_oracle, oracle_posterior_mean, run_block,
-                   run_experiment, se_fixed_point, spec_from_options)
+                   run_experiment, se_fixed_point, si_log_odds,
+                   spec_from_options)
 from siamp.experiment import (denoiser_response_curve,
                               detector_threshold_curve)
 from siamp.streams import substream
@@ -28,18 +29,22 @@ def report(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name} failed: {detail}"
 
 
+def si_term_of(si, params):
+    """The side-information log-odds term of one device."""
+    return si_log_odds(si, params.gamma, params.alpha, params.beta)
+
+
 def denoise_one(x_t, si, params):
     """(estimate, derivative average) of one device, as a one-row call."""
     out, deriv = denoise_rows(x_t[None, :], params.gamma, params.tau,
-                              params.lam, params.alpha, params.beta, si)
+                              params.lam, si_term_of(si, params))
     return out[0], float(deriv[0])
 
 
 def detect_one(x_t, si, params):
     """Detection state of one device, as a one-row block."""
     return block_detection(x_t[None, :], params.tau, params.gamma,
-                           params.alpha, params.beta, np.zeros(1, dtype=bool),
-                           si)
+                           np.zeros(1, dtype=bool), si_term_of(si, params))
 
 
 def test_a1_denoiser_oracle_equivalence():
@@ -190,8 +195,7 @@ def test_a5_state_evolution_consistency():
                          noise_variance=noise, path_losses=np.full(n, gamma),
                          rng_seed=314)
     scenario = generate_scenario(cfg)
-    res = run_block(scenario.received[0], scenario.pilots,
-                    None, cfg)
+    res = run_block(scenario.received[0], scenario.pilots, 0.0, cfg)
     params = SeParams.from_scenario(cfg, sample_count=100_000)
     trace = se_fixed_point(params, substream(105, "a5"))
     rel = abs(res.tau_final ** 2 - trace.fixed_point) / trace.fixed_point

@@ -1,11 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from siamp import (AmpState, NonFiniteState, ScenarioConfig, amp_iterate,
-                   estimate_tau, generate_scenario, pseudo_observations,
-                   run_block, run_trial, run_trial_variants)
-from siamp.denoiser import SideInfo, denoise_rows
+from siamp import (AmpState, NonFiniteState, ScenarioConfig, SiAmpError,
+                   amp, amp_iterate, detector, estimate_tau,
+                   generate_scenario, pseudo_observations, run_block,
+                   run_trial, run_trial_variants)
+from siamp.denoiser import SideInfo, denoise_rows, si_log_odds
 from siamp.streams import substream
 
 
@@ -80,7 +85,7 @@ class TestIterate:
         state = AmpState(x=np.zeros((n, cfg.num_antennas), complex),
                          residual=y.copy(), tau=estimate_tau(y), t=0)
         hook = lambda xt: (xt, np.ones(n))
-        new = amp_iterate(state, y, s, None, cfg, denoiser_fn=hook)
+        new = amp_iterate(state, y, s, 0.0, cfg, denoiser_fn=hook)
         expected_x = pseudo_observations(state.x, state.residual, s)
         np.testing.assert_array_equal(new.x, expected_x)
         expected_r = y - s @ expected_x + (n / cfg.pilot_length) * state.residual
@@ -95,7 +100,7 @@ class TestIterate:
         state = AmpState(x=np.zeros((n, cfg.num_antennas), complex),
                          residual=y.copy(), tau=estimate_tau(y), t=0)
         hook = lambda xt: (np.zeros_like(xt), np.zeros(n))
-        new = amp_iterate(state, y, s, None, cfg, denoiser_fn=hook)
+        new = amp_iterate(state, y, s, 0.0, cfg, denoiser_fn=hook)
         np.testing.assert_array_equal(new.x, 0.0)
         np.testing.assert_array_equal(new.residual, y)
 
@@ -113,7 +118,8 @@ class TestIterate:
         state = AmpState(x=np.zeros((4, 2), complex), residual=y.copy(),
                          tau=estimate_tau(y), t=0)
         for _ in range(3):
-            state = amp_iterate(state, y, s, prev, cfg)
+            state = amp_iterate(state, y, s, si_log_odds(
+                prev, cfg.path_losses, cfg.persistence, cfg.beta), cfg)
 
         lam, alpha, beta = cfg.activity_rate, cfg.persistence, cfg.beta
         x = np.zeros((4, 2), complex)
@@ -154,7 +160,7 @@ class TestIterate:
                          tau=estimate_tau(y), t=0)
         hook = lambda xt: (np.full_like(xt, np.inf), np.ones(24))
         with pytest.raises(NonFiniteState):
-            amp_iterate(state, y, scenario.pilots, None, cfg,
+            amp_iterate(state, y, scenario.pilots, 0.0, cfg,
                         denoiser_fn=hook)
 
 
@@ -164,7 +170,7 @@ class TestRunBlock:
         # and tau drops to its floor immediately
         y = np.zeros((12, 2), complex)
         scenario = generate_scenario(small_config())
-        res = run_block(y, scenario.pilots, None,
+        res = run_block(y, scenario.pilots, 0.0,
                         small_config(noise_variance=1e-12))
         np.testing.assert_allclose(np.abs(res.x_hat), 0.0, atol=1e-9)
         assert res.tau_trace[-1] <= res.tau_trace[0] + 1e-12
@@ -173,16 +179,15 @@ class TestRunBlock:
         cfg = small_config()
         scenario = generate_scenario(cfg)
         y = scenario.received[0]
-        a = run_block(y, scenario.pilots, None, cfg)
-        b = run_block(y, scenario.pilots, None, cfg)
+        a = run_block(y, scenario.pilots, 0.0, cfg)
+        b = run_block(y, scenario.pilots, 0.0, cfg)
         np.testing.assert_array_equal(a.x_hat, b.x_hat)
         np.testing.assert_array_equal(a.tau_trace, b.tau_trace)
 
     def test_pseudo_obs_recomputable(self):
         cfg = small_config()
         scenario = generate_scenario(cfg)
-        res = run_block(scenario.received[0], scenario.pilots,
-                        None, cfg)
+        res = run_block(scenario.received[0], scenario.pilots, 0.0, cfg)
         again = pseudo_observations(res.x_hat, res.residual,
                                     scenario.pilots)
         np.testing.assert_array_equal(res.pseudo_obs, again)
@@ -193,8 +198,7 @@ class TestRunBlock:
                              noise_variance=0.1, path_losses=np.full(1000, 1.0),
                              rng_seed=11)
         scenario = generate_scenario(cfg)
-        res = run_block(scenario.received[0], scenario.pilots,
-                        None, cfg)
+        res = run_block(scenario.received[0], scenario.pilots, 0.0, cfg)
         trace = res.tau_trace
         # after the initial transient the trace stops increasing materially
         tail = trace[3:]
@@ -215,7 +219,7 @@ class TestRunTrial:
         scenario = generate_scenario(cfg)
         for j in range(3):
             res = run_block(scenario.received[j],
-                            scenario.pilots, None, cfg)
+                            scenario.pilots, 0.0, cfg)
             np.testing.assert_array_equal(trial.blocks[j].x_hat, res.x_hat)
             np.testing.assert_array_equal(trial.blocks[j].pseudo_obs,
                                           res.pseudo_obs)
@@ -227,14 +231,16 @@ class TestRunTrial:
         cfg = small_config(num_blocks=4)
         trial = run_trial(cfg, variant=variant)
         scenario = generate_scenario(cfg)
-        si = None
+        si_term = 0.0
         for j, block in enumerate(trial.blocks):
-            again = run_block(scenario.received[j], scenario.pilots, si, cfg)
+            again = run_block(scenario.received[j], scenario.pilots, si_term,
+                              cfg)
             np.testing.assert_array_equal(block.x_hat, again.x_hat)
             np.testing.assert_array_equal(block.pseudo_obs, again.pseudo_obs)
             np.testing.assert_array_equal(block.tau_trace, again.tau_trace)
             if variant == "si":
-                si = block.side_info()
+                si_term = si_log_odds(block.side_info(), cfg.path_losses,
+                                      cfg.persistence, cfg.beta)
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_variants_match_separate_trials(self, m):
@@ -250,9 +256,54 @@ class TestRunTrial:
                 np.testing.assert_array_equal(a.tau_trace, b.tau_trace)
             for a, b in zip(trial.detections, alone.detections):
                 np.testing.assert_array_equal(a.llr, b.llr)
+                np.testing.assert_array_equal(a.energy, b.energy)
             for a, b in zip(trial.reports, alone.reports):
-                np.testing.assert_array_equal(a.llr, b.llr)
+                np.testing.assert_array_equal(a.decisions, b.decisions)
                 np.testing.assert_array_equal(a.metrics.nmse, b.metrics.nmse)
+
+    def test_side_info_term_computed_once_per_block(self, monkeypatch):
+        # si_log_odds runs once per si block, never for nosi, and every
+        # denoiser and detector call of a block gets that one array
+        cfg = small_config(num_blocks=4)
+        terms, blocks = [], []  # blocks: (run_block's si_term, calls' si_terms)
+        real_si_log_odds, real_run_block = amp.si_log_odds, amp.run_block
+        real_denoise_rows = amp.denoise_rows
+        real_block_detection = detector.block_detection
+
+        def counted_si_log_odds(*args):
+            terms.append(real_si_log_odds(*args))
+            return terms[-1]
+
+        def recorded_run_block(y, pilots, si_term, config):
+            blocks.append((si_term, []))
+            return real_run_block(y, pilots, si_term, config)
+
+        def recorded_denoise_rows(x, gamma, tau, lam, si_term=0.0):
+            blocks[-1][1].append(si_term)
+            return real_denoise_rows(x, gamma, tau, lam, si_term)
+
+        def recorded_block_detection(obs, tau, gamma, activity, si_term=0.0):
+            blocks[-1][1].append(si_term)
+            return real_block_detection(obs, tau, gamma, activity, si_term)
+
+        monkeypatch.setattr(amp, "si_log_odds", counted_si_log_odds)
+        monkeypatch.setattr(amp, "run_block", recorded_run_block)
+        monkeypatch.setattr(amp, "denoise_rows", recorded_denoise_rows)
+        monkeypatch.setattr(detector, "block_detection",
+                            recorded_block_detection)
+        run_trial_variants(cfg)
+
+        j = cfg.num_blocks
+        assert len(terms) == j - 1
+        # block 1 is shared, then the si blocks, then the nosi blocks
+        assert len(blocks) == 1 + 2 * (j - 1)
+        for term, (block_term, calls) in zip(terms, blocks[1:j]):
+            assert isinstance(term, np.ndarray) and term.shape == (24,)
+            assert block_term is term
+            assert len(calls) >= 2 and all(c is term for c in calls)
+        for block_term, calls in blocks[:1] + blocks[j:]:
+            assert block_term == 0.0
+            assert all(isinstance(c, float) and c == 0.0 for c in calls)
 
     def test_trial_determinism(self):
         cfg = small_config(num_blocks=2)
@@ -260,6 +311,40 @@ class TestRunTrial:
         b = run_trial(cfg, variant="si")
         for x, y in zip(a.blocks, b.blocks):
             np.testing.assert_array_equal(x.x_hat, y.x_hat)
+
+
+@settings(max_examples=72, deadline=None, derandomize=True)
+@given(load=st.floats(0.5, 10.0), num_devices=st.integers(10, 200),
+       persistence=st.sampled_from(["zero", "lam", "one"]),
+       num_antennas=st.sampled_from([1, 2, 8]),
+       spread_db=st.floats(0.0, 60.0), seed=st.integers(0, 2 ** 16))
+def test_trial_finite_or_loud_failure(load, num_devices, persistence,
+                                      num_antennas, spread_db, seed):
+    # across load, persistence (0 and 1 put log 0 into si_log_odds),
+    # antenna count and gain spread, a trial returns finite estimates,
+    # noise levels and LLRs without a single numpy warning, or raises a
+    # library error
+    lam = 0.1
+    pilot_length = max(1, round(num_devices / load))
+    alpha = {"zero": 0.0, "lam": lam, "one": 1.0}[persistence]
+    gains = 10.0 ** (-substream(seed, "gains").uniform(0.0, spread_db,
+                                                       num_devices) / 10.0)
+    cfg = ScenarioConfig(num_devices=num_devices, pilot_length=pilot_length,
+                         num_antennas=num_antennas, num_blocks=3,
+                         activity_rate=lam, persistence=alpha,
+                         noise_variance=0.01, path_losses=gains,
+                         rng_seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            trials = run_trial_variants(cfg)
+        except SiAmpError:
+            return
+    for trial in trials:
+        for block, det in zip(trial.blocks, trial.detections):
+            assert np.all(np.isfinite(block.x_hat))
+            assert np.isfinite(block.tau_final)
+            assert np.all(np.isfinite(det.llr))
 
 
 @pytest.mark.slow
@@ -270,8 +355,7 @@ class TestAsymptotics:
                              noise_variance=0.1, path_losses=np.full(2000, 1.0),
                              rng_seed=29)
         scenario = generate_scenario(cfg)
-        res = run_block(scenario.received[0], scenario.pilots,
-                        None, cfg)
+        res = run_block(scenario.received[0], scenario.pilots, 0.0, cfg)
         err = res.pseudo_obs - scenario.blocks[0].effective_signal
         scale = np.sqrt(res.tau_final ** 2 / 2.0)
         z = np.concatenate([err.real.ravel(), err.imag.ravel()]) / scale
@@ -289,20 +373,20 @@ class TestAsymptotics:
 
         def no_onsager(xt):
             out, _ = denoise_rows(xt, cfg.path_losses, state.tau,
-                                  cfg.activity_rate, cfg.persistence, cfg.beta)
+                                  cfg.activity_rate)
             return out, np.zeros(cfg.num_devices)
 
         state = AmpState(x=np.zeros((2000, 1), complex), residual=y.copy(),
                          tau=estimate_tau(y), t=0)
         for _ in range(25):
-            state = amp_iterate(state, y, s, None, cfg, denoiser_fn=no_onsager)
+            state = amp_iterate(state, y, s, 0.0, cfg, denoiser_fn=no_onsager)
         err = (pseudo_observations(state.x, state.residual, s)
                - scenario.blocks[0].effective_signal)
         emp_var = np.mean(np.abs(err) ** 2)
         # without the correction the residual no longer calibrates the true
         # pseudo-observation error and the iteration stalls at a much worse
         # effective noise level than the corrected run
-        corrected = run_block(y, s, None, cfg)
+        corrected = run_block(y, s, 0.0, cfg)
         err_c = corrected.pseudo_obs - scenario.blocks[0].effective_signal
         ratio_c = np.mean(np.abs(err_c) ** 2) / corrected.tau_final ** 2
         assert abs(ratio_c - 1.0) < 0.05

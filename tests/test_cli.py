@@ -131,6 +131,28 @@ def test_oracle_check_passes(capsys):
     assert "oracle-check: PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["denoiser-curve", "--prev", "foo"],
+    ["denoiser-curve", "--prev", "1e-7,nan"],
+    ["denoiser-curve", "--points", "0"],
+    ["denoiser-curve", "--max-input", "nan"],
+    ["detector-curve", "--points", "-1"],
+    ["detector-curve", "--points", "0"],
+    ["detector-curve", "--max-prev", "nan"],
+    ["detector-curve", "--l", "nan"],
+    ["oracle-check", "--samples", "0"],
+    ["oracle-check", "--seed", "-1"],
+], ids=lambda argv: " ".join(argv))
+def test_bad_flag_is_error(argv, tmp_path, capsys):
+    # rejected before any output is written, with a one-line reason
+    out = ["--out-dir", str(tmp_path)] if argv[0] != "oracle-check" else []
+    assert main(argv + out) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "PASS" not in captured.out
+    assert os.listdir(tmp_path) == []
+
+
 def test_missing_config_is_error(capsys):
     assert main(["simulate"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -7,7 +7,7 @@ from scipy.special import expit, logsumexp
 
 from siamp import (DenoiserParams, InvalidConfig, SideInfo, beta_from,
                    case_log_likelihoods, denoise_rows, draw_case_pair,
-                   log_odds_terms, oracle_posterior_mean)
+                   log_odds_terms, oracle_posterior_mean, si_log_odds)
 
 # parameter family of the response-curve examples
 FIG_FAMILY = dict(gamma=1e-8, tau=2e-6, lam=0.1, alpha=0.91, beta=0.01)
@@ -21,23 +21,24 @@ def make_params(m=1, **overrides):
 
 def denoise_one(x, si, params):
     """(estimate, derivative average) of one device, as a one-row call."""
+    si_term = 0.0 if si is None else si_log_odds(si, params.gamma,
+                                                 params.alpha, params.beta)
     out, deriv = denoise_rows(np.asarray(x)[None, :], params.gamma, params.tau,
-                              params.lam, params.alpha, params.beta, si)
+                              params.lam, si_term)
     return out[0], deriv[0]
 
 
 def log_mu(x, params):
     """Log of the inactive/active likelihood factor at one observation."""
-    delta, log_gain, _ = log_odds_terms(params.gamma, params.tau, params.alpha,
-                                        params.beta, params.num_antennas)
+    delta, log_gain = log_odds_terms(params.gamma, params.tau,
+                                     params.num_antennas)
     return log_gain - delta * np.sum(np.abs(x) ** 2)
 
 
 def si_weight(si, params):
     """The side-information factor on the prior odds."""
-    _, _, si_term = log_odds_terms(params.gamma, params.tau, params.alpha,
-                                   params.beta, params.num_antennas, si)
-    return float(np.exp(si_term))
+    return float(np.exp(si_log_odds(si, params.gamma, params.alpha,
+                                    params.beta)))
 
 
 class TestLogMu:
@@ -248,7 +249,9 @@ class TestDerivative:
         params = make_params(m=4)
         x, si = draw_case_pair(rng, params, tau_prev=2e-6)
         _, deriv = denoise_rows(x[None, :], params.gamma, params.tau,
-                                params.lam, params.alpha, params.beta, si)
+                                params.lam, si_log_odds(si, params.gamma,
+                                                        params.alpha,
+                                                        params.beta))
         assert deriv.dtype == np.float64 and deriv.shape == (1,)
 
     @pytest.mark.parametrize("m", [1, 2, 4, 8])
@@ -269,8 +272,9 @@ class TestDerivative:
         x = rows(rng.random(n) < lam)
         x[::50] = 0.0
         si = SideInfo(pseudo_obs=rows(rng.random(n) < lam), tau_prev=tau)
-        _, deriv = denoise_rows(x, gamma, tau, lam, alpha, beta, si)
-        delta, log_gain, si_term = log_odds_terms(gamma, tau, alpha, beta, m, si)
+        si_term = si_log_odds(si, gamma, alpha, beta)
+        _, deriv = denoise_rows(x, gamma, tau, lam, si_term)
+        delta, log_gain = log_odds_terms(gamma, tau, m)
         norm_sq = np.sum(np.abs(x) ** 2, axis=-1)
         q = np.log((1 - lam) / lam) + (log_gain - delta * norm_sq) + si_term
         c = gamma / (gamma + tau ** 2)
@@ -284,7 +288,7 @@ class TestDerivative:
         x[1] = 1e-3
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            out, deriv = denoise_rows(x, 1e300, 1.0, 0.1, 0.46, 0.06)
+            out, deriv = denoise_rows(x, 1e300, 1.0, 0.1)
         assert np.all(out == 0.0)
         np.testing.assert_array_equal(deriv, [0.0, 0.0])
 
@@ -356,8 +360,9 @@ class TestBatchedRows:
         gammas = rng.uniform(0.5, 2.0, n)
         x = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
         prev = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-        out, deriv = denoise_rows(x, gammas, 0.8, 0.1, 0.46, 0.06,
-                                  SideInfo(pseudo_obs=prev, tau_prev=1.1))
+        si_term = si_log_odds(SideInfo(pseudo_obs=prev, tau_prev=1.1),
+                              gammas, 0.46, 0.06)
+        out, deriv = denoise_rows(x, gammas, 0.8, 0.1, si_term)
         for i in range(n):
             params = DenoiserParams(gamma=gammas[i], tau=0.8, lam=0.1,
                                     alpha=0.46, beta=0.06, num_antennas=m)

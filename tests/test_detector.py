@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from siamp import (BlockDetection, DenoiserParams, InvalidConfig, SideInfo,
                    aggregate_slot_counts, beta_from, block_detection,
                    compute_metrics, detect_block, draw_case_pair,
-                   llr_appendix_oracle, sweep_block_counts)
+                   llr_appendix_oracle, si_log_odds, sweep_block_counts)
 
 FIG_FAMILY = dict(gamma=1e-8, tau=2e-6, lam=0.1, alpha=0.91, beta=0.01)
 
@@ -21,9 +21,10 @@ def make_params(m=1, **overrides):
 
 def detect_one(x, si, params):
     """Detection state of one device, as a one-row block."""
+    si_term = 0.0 if si is None else si_log_odds(si, params.gamma,
+                                                 params.alpha, params.beta)
     return block_detection(np.asarray(x)[None, :], params.tau, params.gamma,
-                           params.alpha, params.beta, np.zeros(1, dtype=bool),
-                           si)
+                           np.zeros(1, dtype=bool), si_term)
 
 
 def llr_one(x, si, params):
@@ -177,8 +178,7 @@ class TestMetrics:
 
 
 def toy_block(rng, n=400, m=1):
-    lam, alpha = 0.1, 0.46
-    beta = beta_from(lam, alpha)
+    lam = 0.1
     gamma = rng.uniform(0.5, 2.0, n)
     tau = 0.3
     activity = rng.random(n) < lam
@@ -188,7 +188,7 @@ def toy_block(rng, n=400, m=1):
                  0)
     pseudo = x + tau * np.sqrt(0.5) * (rng.standard_normal((n, m))
                                        + 1j * rng.standard_normal((n, m)))
-    return block_detection(pseudo, tau, gamma, alpha, beta, activity)
+    return block_detection(pseudo, tau, gamma, activity)
 
 
 def pool_blocks(dets, grid):
@@ -218,7 +218,7 @@ class TestSweep:
         fa, md, n_inact, n_act = sweep_block_counts(det, np.array([1.5]))
         assert report.metrics.false_alarms == fa[0]
         assert report.metrics.missed == md[0]
-        assert report.decisions[3] == (report.energy[3] > report.threshold[3])
+        assert report.decisions[3] == (det.energy[3] > report.threshold[3])
 
     def test_roc_curve_monotone_after_aggregation(self):
         rng = np.random.default_rng(8)

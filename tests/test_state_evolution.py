@@ -155,7 +155,7 @@ def test_desk_preset_tau_matches_fixed_point():
                        rng_seed=0, num_blocks=1)
     realization = generate_scenario(scenario)
     res = run_block(realization.received[0],
-                    realization.pilots, None, scenario)
+                    realization.pilots, 0.0, scenario)
     params = SeParams.from_scenario(scenario, sample_count=100_000)
     trace = se_fixed_point(params, rng=substream(12, "se"))
     predicted = np.sqrt(trace.fixed_point)
