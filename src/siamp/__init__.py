@@ -9,8 +9,8 @@ a Monte Carlo experiment harness.
 __version__ = "0.1.0"
 
 from .amp import (AmpBlockResult, AmpState, TrialResult, amp_iterate,
-                  estimate_tau, pseudo_observations, run_block, run_trial,
-                  run_trial_variants)
+                  estimate_tau, pseudo_observations, run_block, run_blocks,
+                  run_trial, run_trial_variants)
 from .denoiser import (DenoiserParams, SideInfo, case_log_likelihoods,
                        denoise_rows, draw_case_pair, log_odds_terms,
                        oracle_posterior_mean, si_log_odds)

@@ -1,10 +1,13 @@
-"""Iterative row-sparse estimator for one coherence block, chained across
+"""Iterative row-sparse estimator for coherence blocks, chained across
 blocks through converged pseudo-observations.
 
 Each iteration denoises the matched-filter-corrected estimate and rebuilds
 the residual with the correction term that keeps the per-device effective
-noise Gaussian.  After convergence, the block's pseudo-observations and
-final noise level become the side information for the next block.
+noise Gaussian.  Blocks that share the pilot matrix and the side
+information iterate as one wide problem (`run_blocks`), so each pass over
+the pilot matrix serves all of them.  After convergence, a block's
+pseudo-observations and final noise level become the side information for
+the next block.
 """
 
 from dataclasses import dataclass, field
@@ -37,6 +40,7 @@ __all__ = [
     "pseudo_observations",
     "estimate_tau",
     "amp_iterate",
+    "run_blocks",
     "run_block",
     "run_trial",
     "run_trial_variants",
@@ -45,12 +49,14 @@ __all__ = [
 
 @dataclass
 class AmpState:
-    """Iterate of the algorithm: estimate, residual, noise level, counter."""
+    """Iterate of the algorithm for K blocks that share the pilot matrix:
+    block k owns columns k*M .. (k+1)*M - 1 of the estimate and residual."""
 
-    x: np.ndarray  # (N, M) complex
-    residual: np.ndarray  # (L, M) complex
-    tau: float
+    x: np.ndarray  # (N, K*M) complex
+    residual: np.ndarray  # (L, K*M) complex
+    tau: np.ndarray  # (K,) noise level per block (a float for K = 1)
     t: int
+    residual_norm: np.ndarray | None = None  # (K,) Frobenius norm per block
 
 
 @dataclass(frozen=True)
@@ -101,63 +107,131 @@ def _tau_floor(config: model.ScenarioConfig) -> float:
     return TAU_FLOOR_FACTOR * float(np.max(config.path_losses))
 
 
+def _block_norms(a: np.ndarray, m: int) -> np.ndarray:
+    """(K,) Frobenius norms of the M-column blocks of a wide array, each
+    computed as `np.linalg.norm` of that block alone."""
+    return np.array([np.linalg.norm(a[:, i:i + m])
+                     for i in range(0, a.shape[1], m)])
+
+
+def _columns(blocks: np.ndarray, m: int) -> np.ndarray:
+    """Column indices of the given blocks in a wide array."""
+    return (blocks[:, None] * m + np.arange(m)).ravel()
+
+
 def amp_iterate(state: AmpState, y: np.ndarray, pilots: np.ndarray,
                 si_term, config: model.ScenarioConfig,
-                denoiser_fn=None) -> AmpState:
-    """One estimator update followed by the corrected residual update.
+                denoiser_fn=None, *, tau_floor=None) -> AmpState:
+    """One estimator update followed by the corrected residual update, for
+    the K blocks of a wide state at once.
 
-    `si_term` is the block's side-information log-odds term (0.0 for
-    none).  `denoiser_fn`, when given, replaces the MMSE denoiser (test
-    hook); it maps the (N, M) pseudo-observations to (estimates,
-    per-device derivative averages).
+    `si_term` is the side-information log-odds term shared by the blocks
+    (0.0 for none).  `denoiser_fn`, when given, replaces the MMSE denoiser
+    (test hook); it maps the (K, N, M) pseudo-observation rows to
+    (estimates, per-device derivative averages (K, N), or (N,) for K = 1).
+    `tau_floor` defaults to the config's.
     """
     n, l = config.num_devices, config.pilot_length
+    tau = np.atleast_1d(state.tau)
+    k = tau.size
+    m = state.x.shape[1] // k
     x_tilde = pseudo_observations(state.x, state.residual, pilots)
+    # block-major rows, so every per-device operation runs along the devices
+    rows = np.ascontiguousarray(x_tilde.reshape(n, k, m).transpose(1, 0, 2))
     if denoiser_fn is not None:
-        x_next, deriv = denoiser_fn(x_tilde)
+        x_next, deriv = denoiser_fn(rows)
     else:
-        x_next, deriv = denoise_rows(x_tilde, config.path_losses, state.tau,
+        x_next, deriv = denoise_rows(rows, config.path_losses, tau[:, None],
                                      config.activity_rate, si_term)
-    # single correction scalar: population average of the per-device
-    # entrywise-averaged derivatives
-    onsager = float(np.mean(deriv))
+    x_next = np.reshape(x_next, (k, n, m)).transpose(1, 0, 2).reshape(n, k * m)
+    # one correction scalar per block: the population average of its
+    # devices' entrywise-averaged derivatives
+    onsager = np.reshape(deriv, (k, n)).mean(axis=1)
     if not np.all(np.isfinite(x_next)):
         raise NonFiniteState(f"non-finite estimate at t={state.t + 1}")
-    residual = y - pilots @ x_next + (n / l) * onsager * state.residual
+    correction = ((n / l) * onsager)[:, None] * state.residual.reshape(-1, k, m)
+    residual = y - pilots @ x_next + correction.reshape(-1, k * m)
     if not np.all(np.isfinite(residual)):
         raise NonFiniteState(f"non-finite residual at t={state.t + 1}")
-    tau = max(estimate_tau(residual), _tau_floor(config))
-    return AmpState(x=x_next, residual=residual, tau=tau, t=state.t + 1)
+    norms = _block_norms(residual, m)
+    if tau_floor is None:
+        tau_floor = _tau_floor(config)
+    tau = np.maximum(norms / np.sqrt(l * m), tau_floor)
+    return AmpState(x=x_next, residual=residual, tau=tau, t=state.t + 1,
+                    residual_norm=norms)
+
+
+def run_blocks(received, pilots: np.ndarray, si_term,
+               config: model.ScenarioConfig) -> list[AmpBlockResult]:
+    """Iterate blocks that share `pilots` and `si_term` to convergence,
+    each from x=0, residual=y, as one wide problem.
+
+    Every iteration runs one matched filter and one S x product over the
+    columns of all still-active blocks.  A block leaves the active columns
+    once its relative estimate change drops below CONVERGENCE_TOL or after
+    MAX_ITERS iterations, with its own traces.  Returns one result per
+    block of `received`, in order.
+    """
+    n, l, m = config.num_devices, config.pilot_length, config.num_antennas
+    tau_floor = _tau_floor(config)
+    y = np.concatenate(received, axis=1)
+    k = len(received)
+    norms = _block_norms(y, m)
+    state = AmpState(x=np.zeros((n, k * m), dtype=complex), residual=y,
+                     tau=np.maximum(norms / np.sqrt(l * m), tau_floor), t=0,
+                     residual_norm=norms)
+    tau_traces = [[tau] for tau in state.tau]
+    delta_traces = [[] for _ in range(k)]
+    res_traces = [[] for _ in range(k)]
+    results = [None] * k
+    active = list(range(k))
+    x_norms = np.zeros(k)  # norms of the current estimates
+    while active:
+        new = amp_iterate(state, y, pilots, si_term, config,
+                          tau_floor=tau_floor)
+        new_x_norms = _block_norms(new.x, m)
+        change = (_block_norms(new.x - state.x, m)
+                  / np.maximum(x_norms, _NORM_FLOOR))
+        for b, tau, delta, res in zip(active, new.tau, change,
+                                      new.residual_norm):
+            tau_traces[b].append(tau)
+            delta_traces[b].append(delta)
+            res_traces[b].append(res)
+        state, x_norms = new, new_x_norms
+        converged = change < CONVERGENCE_TOL
+        if state.t < MAX_ITERS and not converged.any():
+            continue
+        leaving = np.flatnonzero(converged | (state.t == MAX_ITERS))
+        cols = _columns(leaving, m)
+        x_hat, residual = state.x[:, cols], state.residual[:, cols]
+        final_pseudo = pseudo_observations(x_hat, residual, pilots)
+        for i, j in enumerate(leaving):
+            own = slice(i * m, (i + 1) * m)
+            b = active[j]
+            results[b] = AmpBlockResult(
+                x_hat=np.ascontiguousarray(x_hat[:, own]),
+                pseudo_obs=np.ascontiguousarray(final_pseudo[:, own]),
+                residual=np.ascontiguousarray(residual[:, own]),
+                tau_trace=np.asarray(tau_traces[b]),
+                delta_x_trace=np.asarray(delta_traces[b]),
+                residual_fro_trace=np.asarray(res_traces[b]),
+                iters_used=state.t, converged=bool(converged[j]))
+        keep = np.setdiff1d(np.arange(len(active)), leaving)
+        active = [active[j] for j in keep]
+        cols = _columns(keep, m)
+        y = y[:, cols]
+        state = AmpState(x=state.x[:, cols], residual=state.residual[:, cols],
+                         tau=state.tau[keep], t=state.t,
+                         residual_norm=state.residual_norm[keep])
+        x_norms = x_norms[keep]
+    return results
 
 
 def run_block(y: np.ndarray, pilots: np.ndarray, si_term,
               config: model.ScenarioConfig) -> AmpBlockResult:
-    """Iterate one block to convergence from x=0, residual=y."""
-    n, m = config.num_devices, config.num_antennas
-    state = AmpState(x=np.zeros((n, m), dtype=complex), residual=y.copy(),
-                     tau=max(estimate_tau(y), _tau_floor(config)), t=0)
-    tau_trace = [state.tau]
-    delta_trace = []
-    res_trace = []
-    converged = False
-    for _ in range(MAX_ITERS):
-        new = amp_iterate(state, y, pilots, si_term, config)
-        change = (np.linalg.norm(new.x - state.x)
-                  / max(np.linalg.norm(state.x), _NORM_FLOOR))
-        tau_trace.append(new.tau)
-        delta_trace.append(change)
-        res_trace.append(np.linalg.norm(new.residual))
-        state = new
-        if change < CONVERGENCE_TOL:
-            converged = True
-            break
-    final_pseudo = pseudo_observations(state.x, state.residual, pilots)
-    return AmpBlockResult(x_hat=state.x, pseudo_obs=final_pseudo,
-                          residual=state.residual,
-                          tau_trace=np.asarray(tau_trace),
-                          delta_x_trace=np.asarray(delta_trace),
-                          residual_fro_trace=np.asarray(res_trace),
-                          iters_used=state.t, converged=converged)
+    """Iterate one block to convergence from x=0, residual=y: `run_blocks`
+    with a single block."""
+    return run_blocks([y], pilots, si_term, config)[0]
 
 
 @dataclass
@@ -173,16 +247,12 @@ class TrialResult:
     reports: list[detector.DetectionReport] = field(default_factory=list)
 
 
-def _track_block(config: model.ScenarioConfig,
-                 scenario: model.ScenarioRealization, j: int,
-                 si: SideInfo | None):
-    """Estimate block j of the scenario given side information si, detect
-    its activity and score it at l = 0; returns (estimate, detection,
-    report).  si enters both through its log-odds term, computed once."""
+def _detect(config: model.ScenarioConfig,
+            scenario: model.ScenarioRealization, j: int,
+            result: AmpBlockResult, si_term):
+    """Detect the activity of block j from its estimate and score it at
+    l = 0; returns (estimate, detection, report)."""
     truth = scenario.blocks[j]
-    si_term = 0.0 if si is None else si_log_odds(
-        si, config.path_losses, config.persistence, config.beta)
-    result = run_block(scenario.received[j], scenario.pilots, si_term, config)
     det = detector.block_detection(result.pseudo_obs, result.tau_final,
                                    config.path_losses, truth.activity, si_term)
     report = detector.detect_block(det, 0.0, x_hat=result.x_hat,
@@ -190,45 +260,65 @@ def _track_block(config: model.ScenarioConfig,
     return result, det, report
 
 
+def _track_block(config: model.ScenarioConfig,
+                 scenario: model.ScenarioRealization, j: int,
+                 si: SideInfo | None):
+    """Estimate block j of the scenario given side information si, then
+    detect and score it; si enters both through its log-odds term,
+    computed once."""
+    si_term = 0.0 if si is None else si_log_odds(
+        si, config.path_losses, config.persistence, config.beta)
+    result = run_block(scenario.received[j], scenario.pilots, si_term, config)
+    return _detect(config, scenario, j, result, si_term)
+
+
 def run_trial(config: model.ScenarioConfig, variant: str = "si", *,
               scenario=None, first_block=None) -> TrialResult:
     """Generate a scenario and track it block by block.
 
     With variant "si" each block after the first is denoised and detected
-    using the previous block's converged pseudo-observations; "nosi"
-    treats every block independently.  The scenario realization depends
-    only on the config (named substreams), so both variants see identical
-    data.  `run_trial_variants` passes in the scenario and the
-    (estimate, detection, report) of block 1 that its variants share;
-    without them both are computed here.
+    using the previous block's converged pseudo-observations, one block
+    after the other; "nosi" treats every block independently, so all of
+    them are estimated in one `run_blocks` call.  The scenario realization
+    depends only on the config (named substreams), so both variants see
+    identical data.  `run_trial_variants` passes in the scenario, and for
+    "si" the (estimate, detection, report) of block 1 that the variants
+    share; without them both are computed here.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     if scenario is None:
         scenario = model.generate_scenario(config)
-    out = TrialResult(variant=variant)
-    si = None
-    for j in range(len(scenario.blocks)):
-        if j == 0 and first_block is not None:
-            result, det, report = first_block
-        else:
-            result, det, report = _track_block(config, scenario, j, si)
-        out.blocks.append(result)
-        out.detections.append(det)
-        out.reports.append(report)
-        if variant == "si":
-            si = result.side_info()
-    return out
+    if variant == "nosi":
+        if first_block is not None:
+            raise ValueError("first_block starts the si chain only")
+        results = run_blocks(scenario.received, scenario.pilots, 0.0, config)
+        tracked = [_detect(config, scenario, j, result, 0.0)
+                   for j, result in enumerate(results)]
+    else:
+        tracked = [first_block if first_block is not None
+                   else _track_block(config, scenario, 0, None)]
+        for j in range(1, len(scenario.blocks)):
+            tracked.append(_track_block(config, scenario, j,
+                                        tracked[-1][0].side_info()))
+    blocks, detections, reports = (list(column) for column in zip(*tracked))
+    return TrialResult(variant=variant, blocks=blocks, detections=detections,
+                       reports=reports)
 
 
 def run_trial_variants(config: model.ScenarioConfig) -> list[TrialResult]:
     """`run_trial` under each of `VARIANTS` on one scenario realization.
 
     Block 1 has no side information under any variant, so it is estimated
-    and detected once and shared.  Returns one result per variant, in
-    order, each equal to a separate `run_trial(config, variant)`.
+    and detected once, within the nosi batch, and starts the si chain.
+    Returns one result per variant, in order; the nosi result equals
+    `run_trial(config, "nosi")` and the si result equals `run_trial(config,
+    "si", first_block=...)` given the nosi result's block 1.
     """
     scenario = model.generate_scenario(config)
-    first_block = _track_block(config, scenario, 0, None)
-    return [run_trial(config, variant, scenario=scenario,
-                      first_block=first_block) for variant in VARIANTS]
+    nosi = run_trial(config, "nosi", scenario=scenario)
+    si = run_trial(config, "si", scenario=scenario,
+                   first_block=(nosi.blocks[0], nosi.detections[0],
+                                nosi.reports[0]))
+    trials = {"si": si, "nosi": nosi}
+    return [trials[variant] for variant in VARIANTS]

@@ -126,20 +126,24 @@ def denoise_rows(x_rows: np.ndarray, gamma, tau: float, lam: float,
 
     Parameters
     ----------
-    x_rows : (N, M) complex pseudo-observations, one row per device.
+    x_rows : (N, M) complex pseudo-observations, one row per device, or
+        (K, N, M) rows of K blocks.
     gamma : scalar or (N,) per-device channel power gains.
-    tau : current pseudo-noise standard deviation (shared by all devices).
+    tau : current pseudo-noise standard deviation, shared by all devices
+        (scalar, or (K, 1) per block for (K, N, M) rows).
     lam : marginal activity rate.
     si_term : scalar or (N,) side-information log-odds term from
         `si_log_odds`; 0.0 selects the no-SI denoiser.
 
     Returns
     -------
-    denoised : (N, M) complex estimates c*x/(1+exp(q)), where c is the
-        linear-MMSE gain and q the log-odds of "inactive now".
-    deriv_avg : (N,) per-device entrywise-averaged derivatives of the
-        denoiser with respect to its observation (Wirtinger convention,
-        real-valued), used for the residual correction term.
+    denoised : complex estimates c*x/(1+exp(q)) shaped like `x_rows`,
+        where c is the linear-MMSE gain and q the log-odds of "inactive
+        now".
+    deriv_avg : (N,) (or (K, N)) per-device entrywise-averaged
+        derivatives of the denoiser with respect to its observation
+        (Wirtinger convention, real-valued), used for the residual
+        correction term.
     """
     x_rows = np.asarray(x_rows)
     num_antennas = x_rows.shape[-1]

@@ -161,17 +161,32 @@ def detect_block(det: BlockDetection, l: float,
 
 
 def sweep_block_counts(det: BlockDetection, l_grid: np.ndarray):
-    """Error counts of one block over a grid of `l` values.
+    """Error counts of one block over an increasing grid of `l` values.
 
     Returns (false_alarms, missed, num_inactive, num_active) where the
-    first two are arrays over the grid.
+    first two are arrays over the grid.  The threshold (l + offset)/delta
+    is nondecreasing in l (delta >= 0, and rounding is monotone), so each
+    device is declared active at exactly the first k levels of the grid.
+    Its k is found by binary search, each step evaluating `detect_block`'s
+    test at one level per device; the counts follow from k.
     """
     l_grid = np.asarray(l_grid, dtype=float)
-    thresholds = (l_grid[:, None] + det.offset[None, :]) / det.delta[None, :]
-    decisions = det.energy[None, :] > thresholds
+    size = len(l_grid)
+    first_inactive = np.zeros(len(det.energy), dtype=np.intp)
+    for step in (1 << np.arange(size.bit_length()))[::-1]:
+        level = first_inactive + step - 1
+        inside = level < size
+        l = l_grid[np.minimum(level, size - 1)]
+        declared = inside & (det.energy > (l + det.offset) / det.delta)
+        first_inactive = np.where(declared, first_inactive + step,
+                                  first_inactive)
     inactive = ~det.activity
-    fa = np.sum(decisions & inactive[None, :], axis=1)
-    md = np.sum(~decisions & det.activity[None, :], axis=1)
+    # false alarms at level i: inactive devices still declared active
+    # (k > i); misses: active devices no longer declared active (k <= i)
+    fa = np.cumsum(np.bincount(first_inactive[inactive],
+                               minlength=size + 1)[::-1])[::-1][1:]
+    md = np.cumsum(np.bincount(first_inactive[det.activity],
+                               minlength=size + 1))[:size]
     return fa, md, int(inactive.sum()), int(det.activity.sum())
 
 

@@ -205,35 +205,41 @@ def spec_from_options(options: dict, source: str = "<options>") -> ExperimentSpe
                    for key in ("gamma", "noise_variance") if key in options]
         if ignored:
             raise ValidationError(ignored)
-        gains = annulus_gains(converted["num_devices"],
-                              substream(converted["rng_seed"], STREAM_PLACEMENT))
         noise_variance = 1.0  # gains are normalized to the noise floor
     elif placement == "gamma":
         if "gamma" not in converted:
             raise ValidationError(["placement 'gamma' needs a gamma value"])
-        gains = np.full(converted["num_devices"], converted["gamma"], dtype=float)
         noise_variance = converted["noise_variance"]
     else:
         raise ParseError(f"{source}: placement must be 'annulus' or 'gamma', "
                          f"got {placement!r}")
 
+    num_devices, seed = converted["num_devices"], converted["rng_seed"]
     scenario = ScenarioConfig(
-        num_devices=converted["num_devices"],
+        num_devices=num_devices,
         pilot_length=converted["pilot_length"],
         num_antennas=converted["num_antennas"],
         num_blocks=converted["num_blocks"],
         activity_rate=converted["activity_rate"],
         persistence=converted["persistence"],
         noise_variance=noise_variance,
-        path_losses=gains,
-        rng_seed=converted["rng_seed"])
-
+        # placeholder gains: the device count and the seed are checked
+        # before the gains are built from them
+        path_losses=np.ones(max(num_devices, 0)),
+        rng_seed=seed)
     spec = ExperimentSpec(scenario=scenario, num_trials=converted["num_trials"],
                           l_grid=np.array(converted["l_grid"], dtype=float),
                           out_dir=converted["out_dir"],
                           parallelism=converted["parallelism"],
                           se_sample_count=converted["se_sample_count"])
-    return spec.validate()
+    spec.validate()
+    if placement == "annulus":
+        gains = annulus_gains(num_devices,
+                              substream(seed, STREAM_PLACEMENT))
+    else:
+        gains = np.full(num_devices, converted["gamma"], dtype=float)
+    return replace(spec, scenario=replace(scenario,
+                                          path_losses=gains)).validate()
 
 
 def parse_config(path) -> ExperimentSpec:

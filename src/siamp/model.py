@@ -83,8 +83,11 @@ class ScenarioConfig:
                 out.append(str(exc))
         if not self.noise_variance > 0.0:
             out.append(f"noise_variance must be positive, got {self.noise_variance}")
+        if self.rng_seed < 0:
+            out.append(f"rng_seed must be nonnegative, got {self.rng_seed}")
         gammas = np.asarray(self.path_losses, dtype=float)
-        if gammas.ndim != 1 or gammas.shape[0] != self.num_devices:
+        if self.num_devices >= 1 and (gammas.ndim != 1
+                                      or gammas.shape[0] != self.num_devices):
             out.append(
                 f"path_losses must have shape ({self.num_devices},), got {gammas.shape}"
             )

@@ -9,7 +9,7 @@ from scipy import stats
 from siamp import (AmpState, NonFiniteState, ScenarioConfig, SiAmpError,
                    amp, amp_iterate, detector, estimate_tau,
                    generate_scenario, pseudo_observations, run_block,
-                   run_trial, run_trial_variants)
+                   run_blocks, run_trial, run_trial_variants)
 from siamp.denoiser import SideInfo, denoise_rows, si_log_odds
 from siamp.streams import substream
 
@@ -206,6 +206,95 @@ class TestRunBlock:
         assert trace[-1] < trace[0]
 
 
+def assert_blocks_close(batch, alone, rtol):
+    assert len(batch) == len(alone)
+    for a, b in zip(batch, alone):
+        assert a.iters_used == b.iters_used and a.converged == b.converged
+        for name in ("tau_trace", "delta_x_trace", "residual_fro_trace"):
+            assert len(getattr(a, name)) == len(getattr(b, name))
+        for name in ("x_hat", "pseudo_obs", "residual", "tau_trace",
+                     "residual_fro_trace"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.shape == y.shape
+            assert np.max(np.abs(x - y)) <= rtol * np.max(np.abs(y))
+
+
+class TestRunBlocks:
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_matches_one_block_at_a_time(self, m):
+        cfg = ScenarioConfig(num_devices=300, pilot_length=60, num_antennas=m,
+                             num_blocks=5, activity_rate=0.1, persistence=0.46,
+                             noise_variance=0.1,
+                             path_losses=np.linspace(0.5, 2.0, 300),
+                             rng_seed=21)
+        scenario = generate_scenario(cfg)
+        batch = run_blocks(scenario.received, scenario.pilots, 0.0, cfg)
+        alone = [run_block(y, scenario.pilots, 0.0, cfg)
+                 for y in scenario.received]
+        assert_blocks_close(batch, alone, 1e-12)
+        # the blocks stopped at different iterations, so some left early
+        assert len({r.iters_used for r in batch}) > 1
+
+    def test_early_blocks_leave_the_batch(self, monkeypatch):
+        # one block hits MAX_ITERS while the others converge before it; the
+        # converged ones stop iterating and keep their own traces
+        cfg = small_config(num_blocks=4, num_devices=120, pilot_length=40,
+                           path_losses=np.full(120, 1.0), rng_seed=3)
+        scenario = generate_scenario(cfg)
+        iters = sorted(r.iters_used for r in
+                       run_blocks(scenario.received, scenario.pilots, 0.0, cfg))
+        assert iters[-1] > iters[-2] + 1
+        monkeypatch.setattr(amp, "MAX_ITERS", iters[-1] - 1)
+        widths = []
+        real_iterate = amp.amp_iterate
+
+        def recorded_iterate(state, *args, **kwargs):
+            widths.append(state.x.shape[1])
+            return real_iterate(state, *args, **kwargs)
+
+        monkeypatch.setattr(amp, "amp_iterate", recorded_iterate)
+        batch = run_blocks(scenario.received, scenario.pilots, 0.0, cfg)
+        monkeypatch.setattr(amp, "amp_iterate", real_iterate)
+        alone = [run_block(y, scenario.pilots, 0.0, cfg)
+                 for y in scenario.received]
+        assert_blocks_close(batch, alone, 1e-12)
+        capped = [r for r in batch if not r.converged]
+        assert len(capped) == 1 and capped[0].iters_used == amp.MAX_ITERS
+        for result in batch:
+            assert len(result.tau_trace) == result.iters_used + 1
+            assert len(result.delta_x_trace) == result.iters_used
+            assert len(result.residual_fro_trace) == result.iters_used
+            if result.converged:
+                assert result.iters_used < amp.MAX_ITERS
+        # each iteration spans only the blocks still running
+        m = cfg.num_antennas
+        assert len(widths) == amp.MAX_ITERS
+        for t, width in enumerate(widths, start=1):
+            assert width == m * sum(r.iters_used >= t for r in batch)
+        assert widths[-1] == m
+
+    def test_non_finite_block_raises(self):
+        cfg = small_config(num_blocks=3)
+        scenario = generate_scenario(cfg)
+        received = [y.copy() for y in scenario.received]
+        received[1][2, 0] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteState):
+                run_blocks(received, scenario.pilots, 0.0, cfg)
+
+    def test_repeated_calls_identical(self):
+        cfg = small_config(num_blocks=4)
+        scenario = generate_scenario(cfg)
+        a = run_blocks(scenario.received, scenario.pilots, 0.0, cfg)
+        b = run_blocks(scenario.received, scenario.pilots, 0.0, cfg)
+        for x, y in zip(a, b):
+            for name in ("x_hat", "pseudo_obs", "residual", "tau_trace",
+                         "delta_x_trace", "residual_fro_trace"):
+                assert getattr(x, name).tobytes() == getattr(y, name).tobytes()
+            assert (x.iters_used, x.converged) == (y.iters_used, y.converged)
+
+
 class TestRunTrial:
     def test_single_block_variants_identical(self):
         cfg = small_config(num_blocks=1)
@@ -227,14 +316,17 @@ class TestRunTrial:
     @pytest.mark.parametrize("variant", ["si", "nosi"])
     def test_blocks_use_previous_side_info(self, variant):
         # si conditions each block on the previous block's converged
-        # output; nosi conditions no block on anything
+        # output; nosi conditions no block on anything, so all its blocks
+        # are one batch
         cfg = small_config(num_blocks=4)
         trial = run_trial(cfg, variant=variant)
         scenario = generate_scenario(cfg)
+        batch = run_blocks(scenario.received, scenario.pilots, 0.0, cfg)
         si_term = 0.0
         for j, block in enumerate(trial.blocks):
-            again = run_block(scenario.received[j], scenario.pilots, si_term,
-                              cfg)
+            again = (batch[j] if variant == "nosi" else
+                     run_block(scenario.received[j], scenario.pilots, si_term,
+                               cfg))
             np.testing.assert_array_equal(block.x_hat, again.x_hat)
             np.testing.assert_array_equal(block.pseudo_obs, again.pseudo_obs)
             np.testing.assert_array_equal(block.tau_trace, again.tau_trace)
@@ -244,11 +336,16 @@ class TestRunTrial:
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_variants_match_separate_trials(self, m):
+        # the si chain starts from block 1 of the nosi batch
         cfg = small_config(num_antennas=m, num_blocks=3)
         joint = run_trial_variants(cfg)
         assert [t.variant for t in joint] == ["si", "nosi"]
+        nosi = joint[1]
+        first_block = (nosi.blocks[0], nosi.detections[0], nosi.reports[0])
         for trial in joint:
-            alone = run_trial(cfg, variant=trial.variant)
+            alone = run_trial(cfg, variant=trial.variant,
+                              first_block=(first_block if trial.variant == "si"
+                                           else None))
             assert len(trial.blocks) == len(alone.blocks) == 3
             for a, b in zip(trial.blocks, alone.blocks):
                 np.testing.assert_array_equal(a.x_hat, b.x_hat)
@@ -265,8 +362,8 @@ class TestRunTrial:
         # si_log_odds runs once per si block, never for nosi, and every
         # denoiser and detector call of a block gets that one array
         cfg = small_config(num_blocks=4)
-        terms, blocks = [], []  # blocks: (run_block's si_term, calls' si_terms)
-        real_si_log_odds, real_run_block = amp.si_log_odds, amp.run_block
+        terms, calls = [], []  # calls: (blocks, si_term, callees' si_terms)
+        real_si_log_odds, real_run_blocks = amp.si_log_odds, amp.run_blocks
         real_denoise_rows = amp.denoise_rows
         real_block_detection = detector.block_detection
 
@@ -274,20 +371,20 @@ class TestRunTrial:
             terms.append(real_si_log_odds(*args))
             return terms[-1]
 
-        def recorded_run_block(y, pilots, si_term, config):
-            blocks.append((si_term, []))
-            return real_run_block(y, pilots, si_term, config)
+        def recorded_run_blocks(received, pilots, si_term, config):
+            calls.append((len(received), si_term, []))
+            return real_run_blocks(received, pilots, si_term, config)
 
         def recorded_denoise_rows(x, gamma, tau, lam, si_term=0.0):
-            blocks[-1][1].append(si_term)
+            calls[-1][2].append(si_term)
             return real_denoise_rows(x, gamma, tau, lam, si_term)
 
         def recorded_block_detection(obs, tau, gamma, activity, si_term=0.0):
-            blocks[-1][1].append(si_term)
+            calls[-1][2].append(si_term)
             return real_block_detection(obs, tau, gamma, activity, si_term)
 
         monkeypatch.setattr(amp, "si_log_odds", counted_si_log_odds)
-        monkeypatch.setattr(amp, "run_block", recorded_run_block)
+        monkeypatch.setattr(amp, "run_blocks", recorded_run_blocks)
         monkeypatch.setattr(amp, "denoise_rows", recorded_denoise_rows)
         monkeypatch.setattr(detector, "block_detection",
                             recorded_block_detection)
@@ -295,15 +392,16 @@ class TestRunTrial:
 
         j = cfg.num_blocks
         assert len(terms) == j - 1
-        # block 1 is shared, then the si blocks, then the nosi blocks
-        assert len(blocks) == 1 + 2 * (j - 1)
-        for term, (block_term, calls) in zip(terms, blocks[1:j]):
+        # the nosi batch (block 1 included), then one call per si block
+        assert [blocks for blocks, _, _ in calls] == [j] + [1] * (j - 1)
+        for term, (_, block_term, callees) in zip(terms, calls[1:]):
             assert isinstance(term, np.ndarray) and term.shape == (24,)
             assert block_term is term
-            assert len(calls) >= 2 and all(c is term for c in calls)
-        for block_term, calls in blocks[:1] + blocks[j:]:
-            assert block_term == 0.0
-            assert all(isinstance(c, float) and c == 0.0 for c in calls)
+            assert len(callees) >= 2 and all(c is term for c in callees)
+        _, block_term, callees = calls[0]
+        assert block_term == 0.0
+        assert len(callees) >= 2 * j
+        assert all(isinstance(c, float) and c == 0.0 for c in callees)
 
     def test_trial_determinism(self):
         cfg = small_config(num_blocks=2)

@@ -166,6 +166,28 @@ def test_invalid_config_nonzero_exit(tmp_path, capsys):
     assert "activity_rate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["dump-traces", "simulate"])
+@pytest.mark.parametrize("source", ["preset", "annulus-config",
+                                    "gamma-config"])
+def test_negative_seed_is_error(command, source, tmp_path, capsys):
+    # rejected before any draw, with the reason and no traceback
+    if source == "preset":
+        argv = [command, "--preset", "fig3-desk", "--seed", "-1"]
+    else:
+        placement = source.split("-")[0]
+        gamma = "gamma = 1\n" if placement == "gamma" else ""
+        path = tmp_path / "negative.cfg"
+        path.write_text("num_devices = 10\npilot_length = 5\n"
+                        f"placement = {placement}\n{gamma}rng_seed = -3\n")
+        argv = [command, str(path)]
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "rng_seed must be nonnegative" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_preset_flag(tmp_path):
     out = tmp_path / "preset_out"
     code = main(["roc", "--preset", "fig3-desk", "--trials", "2",

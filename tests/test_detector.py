@@ -198,7 +198,82 @@ def pool_blocks(dets, grid):
     return aggregate_slot_counts(fa, md, n_inactive, n_active, grid)
 
 
+def sweep_matrix_oracle(det, l_grid):
+    """Sweep counts from the full (levels, devices) decision matrix."""
+    thresholds = (l_grid[:, None] + det.offset[None, :]) / det.delta[None, :]
+    decisions = det.energy[None, :] > thresholds
+    inactive = ~det.activity
+    fa = np.sum(decisions & inactive[None, :], axis=1)
+    md = np.sum(~decisions & det.activity[None, :], axis=1)
+    return fa, md, int(inactive.sum()), int(det.activity.sum())
+
+
+def assert_sweep_matches_oracle(det, grid):
+    got = sweep_block_counts(det, grid)
+    want = sweep_matrix_oracle(det, grid)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+        assert np.asarray(a).dtype == np.asarray(b).dtype
+
+
 class TestSweep:
+    @pytest.mark.parametrize("seed", range(50))
+    def test_matches_decision_matrix(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        det = toy_block(rng, n=int(rng.integers(1, 1000)),
+                        m=int(rng.choice([1, 2, 4])))
+        assert_sweep_matches_oracle(det, np.linspace(-40.0, 40.0, 161))
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 8, 9, 64, 161, 256, 257])
+    def test_matches_decision_matrix_any_grid_size(self, size):
+        det = toy_block(np.random.default_rng(size))
+        assert_sweep_matches_oracle(det, np.linspace(-30.0, 30.0, size))
+
+    def test_infinite_offsets(self):
+        # persistence 0 and 1 put -inf and +inf into the side-information
+        # term: such a device is declared active at every level, or none
+        det = toy_block(np.random.default_rng(11), n=300)
+        offset = det.offset.copy()
+        offset[::3] = np.inf
+        offset[1::3] = -np.inf
+        det = BlockDetection(energy=det.energy, llr=det.llr, delta=det.delta,
+                             offset=offset, activity=det.activity)
+        grid = np.linspace(-40.0, 40.0, 161)
+        assert_sweep_matches_oracle(det, grid)
+        for alpha in (0.0, 1.0):
+            rng = np.random.default_rng(12)
+            prev = rng.standard_normal((300, 1)) + 1j * rng.standard_normal((300, 1))
+            si_term = si_log_odds(SideInfo(prev, 0.4), 1.0, alpha,
+                                  beta_from(0.1, alpha))
+            pseudo = rng.standard_normal((300, 1)) + 1j * rng.standard_normal((300, 1))
+            assert_sweep_matches_oracle(
+                block_detection(pseudo, 0.3, 1.0, rng.random(300) < 0.1,
+                                si_term), grid)
+
+    def test_ties_resolve_inactive(self):
+        # energy exactly at a device's threshold on a grid level
+        det = toy_block(np.random.default_rng(13), n=200)
+        grid = np.linspace(-10.0, 10.0, 41)
+        energy = det.energy.copy()
+        levels = np.random.default_rng(14).integers(0, len(grid), 200)
+        energy[::2] = ((grid[levels] + det.offset) / det.delta)[::2]
+        det = BlockDetection(energy=energy, llr=det.llr, delta=det.delta,
+                             offset=det.offset, activity=det.activity)
+        assert_sweep_matches_oracle(det, grid)
+        assert not detect_block(det, grid[levels[0]]).decisions[0]
+
+    @pytest.mark.parametrize("active", [True, False])
+    def test_all_active_or_all_inactive_block(self, active):
+        det = toy_block(np.random.default_rng(15), n=120)
+        det = BlockDetection(energy=det.energy, llr=det.llr, delta=det.delta,
+                             offset=det.offset,
+                             activity=np.full(120, active))
+        grid = np.linspace(-40.0, 40.0, 161)
+        assert_sweep_matches_oracle(det, grid)
+        fa, md, n_inact, n_act = sweep_block_counts(det, grid)
+        assert (n_act, n_inact) == ((120, 0) if active else (0, 120))
+        assert not np.any(md if not active else fa)
+
     def test_extreme_levels(self):
         det = toy_block(np.random.default_rng(5))
         fa, md, n_inact, n_act = sweep_block_counts(det, np.array([-1e9, 1e9]))

@@ -175,20 +175,23 @@ class TestRunExperiment:
                 np.testing.assert_array_equal(a.se_p_md, b.se_p_md)
 
     def test_one_scenario_and_shared_first_block_per_trial(self, monkeypatch):
-        calls = {"generate_scenario": 0, "run_trial": 0, "run_block": 0,
+        calls = {"generate_scenario": 0, "run_trial": 0, "run_blocks": 0,
                  "sweep_block_counts": 0}
+        estimated = []  # blocks per call of the AMP kernel
 
         def counted(module, name):
             fn = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
+                if name == "run_blocks":
+                    estimated.append(len(args[0]))
                 return fn(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
         counted(model, "generate_scenario")
         counted(amp, "run_trial")
-        counted(amp, "run_block")
+        counted(amp, "run_blocks")
         counted(experiment, "sweep_block_counts")
         spec = spec_from_options(desk_options(num_blocks="3"))
         index, out, error = _run_trial_counts((spec, 0))
@@ -196,8 +199,10 @@ class TestRunExperiment:
         assert calls["generate_scenario"] == 1
         assert calls["run_trial"] == len(spec.variants)
         # block 1 has no side information under either variant, so it is
-        # estimated and swept once
-        assert calls["run_block"] == 3 * len(spec.variants) - 1
+        # estimated and swept once: one nosi batch of 3 blocks, then one
+        # kernel call per later si block
+        assert estimated == [3, 1, 1]
+        assert sum(estimated) == 3 * len(spec.variants) - 1
         assert calls["sweep_block_counts"] == 3 * len(spec.variants) - 1
         first = out[spec.variants[0]]
         for variant in spec.variants[1:]:
