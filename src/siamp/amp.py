@@ -141,7 +141,10 @@ def amp_iterate(state: AmpState, y: np.ndarray, pilots: np.ndarray,
     if denoiser_fn is not None:
         x_next, deriv = denoiser_fn(rows)
     else:
-        x_next, deriv = denoise_rows(rows, config.path_losses, tau[:, None],
+        # a lone block's tau goes in as a scalar: broadcasting a (1, 1)
+        # array costs about a microsecond in each denoiser operation
+        x_next, deriv = denoise_rows(rows, config.path_losses,
+                                     tau[:, None] if k > 1 else tau[0],
                                      config.activity_rate, si_term)
     x_next = np.reshape(x_next, (k, n, m)).transpose(1, 0, 2).reshape(n, k * m)
     # one correction scalar per block: the population average of its

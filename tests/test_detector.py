@@ -230,8 +230,9 @@ class TestSweep:
         assert_sweep_matches_oracle(det, np.linspace(-30.0, 30.0, size))
 
     def test_infinite_offsets(self):
-        # persistence 0 and 1 put -inf and +inf into the side-information
-        # term: such a device is declared active at every level, or none
+        # at persistence 0 and 1 the side-information term tends to +inf
+        # or -inf: such a device is declared active at no level, or at
+        # every level; then real offsets at both persistences
         det = toy_block(np.random.default_rng(11), n=300)
         offset = det.offset.copy()
         offset[::3] = np.inf

@@ -124,6 +124,19 @@ class TestParseConfig:
             spec_from_options(desk_options(se_sample_count="1"))
         assert any("se_sample_count" in v for v in exc.value.violations)
 
+    @pytest.mark.parametrize("placement", [{"preset": "fig3-desk"},
+                                           {"gamma": "1.0"}],
+                             ids=["annulus", "gamma"])
+    def test_count_and_seed_checked_before_gains_are_built(self, placement):
+        # a negative device count or seed cannot size or seed the gains:
+        # both are reported as violations, and nothing else is
+        with pytest.raises(ValidationError) as exc:
+            spec_from_options({**placement, "num_devices": "-5",
+                               "pilot_length": "10", "rng_seed": "-1"})
+        assert sorted(exc.value.violations) == [
+            "num_devices must be a positive count",
+            "rng_seed must be nonnegative, got -1"]
+
     @pytest.mark.parametrize("grid", ["20:-20:81", "0,nan"])
     def test_unordered_or_nonfinite_l_grid_rejected(self, grid):
         # per-trial rates are interpolated in l, which needs an increasing grid
