@@ -189,7 +189,7 @@ def run_blocks(received, pilots: np.ndarray, si_term,
     results = [None] * k
     active = list(range(k))
     x_norms = np.zeros(k)  # norms of the current estimates
-    while active:
+    while True:
         new = amp_iterate(state, y, pilots, si_term, config,
                           tau_floor=tau_floor)
         new_x_norms = _block_norms(new.x, m)
@@ -204,7 +204,8 @@ def run_blocks(received, pilots: np.ndarray, si_term,
         converged = change < CONVERGENCE_TOL
         if state.t < MAX_ITERS and not converged.any():
             continue
-        leaving = np.flatnonzero(converged | (state.t == MAX_ITERS))
+        done = converged | (state.t == MAX_ITERS)
+        leaving, keep = np.flatnonzero(done), np.flatnonzero(~done)
         cols = _columns(leaving, m)
         x_hat, residual = state.x[:, cols], state.residual[:, cols]
         final_pseudo = pseudo_observations(x_hat, residual, pilots)
@@ -219,7 +220,8 @@ def run_blocks(received, pilots: np.ndarray, si_term,
                 delta_x_trace=np.asarray(delta_traces[b]),
                 residual_fro_trace=np.asarray(res_traces[b]),
                 iters_used=state.t, converged=bool(converged[j]))
-        keep = np.setdiff1d(np.arange(len(active)), leaving)
+        if not keep.size:
+            break
         active = [active[j] for j in keep]
         cols = _columns(keep, m)
         y = y[:, cols]
