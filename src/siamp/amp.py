@@ -7,7 +7,8 @@ noise Gaussian.  Blocks that share the pilot matrix and the side
 information iterate as one wide problem (`run_blocks`), so each pass over
 the pilot matrix serves all of them.  After convergence, a block's
 pseudo-observations and final noise level become the side information for
-the next block.
+the next block.  A trial estimates all its blocks first, then detects and
+scores each one.
 """
 
 from dataclasses import dataclass, field
@@ -38,7 +39,6 @@ __all__ = [
     "AmpBlockResult",
     "TrialResult",
     "pseudo_observations",
-    "estimate_tau",
     "amp_iterate",
     "run_blocks",
     "run_block",
@@ -95,12 +95,6 @@ def pseudo_observations(x: np.ndarray, residual: np.ndarray,
             f"pilots {pilots.shape} incompatible with estimate {x.shape} "
             f"and residual {residual.shape}")
     return x + np.conj(pilots.T @ np.conj(residual))
-
-
-def estimate_tau(residual: np.ndarray) -> float:
-    """Root-mean-square magnitude of the residual entries."""
-    l, m = residual.shape
-    return float(np.linalg.norm(residual) / np.sqrt(l * m))
 
 
 def _tau_floor(config: model.ScenarioConfig) -> float:
@@ -252,34 +246,26 @@ class TrialResult:
     reports: list[detector.DetectionReport] = field(default_factory=list)
 
 
-def _detect(config: model.ScenarioConfig,
-            scenario: model.ScenarioRealization, j: int,
-            result: AmpBlockResult, si_term):
-    """Detect the activity of block j from its estimate and score it at
-    l = 0; returns (estimate, detection, report)."""
-    truth = scenario.blocks[j]
-    det = detector.block_detection(result.pseudo_obs, result.tau_final,
-                                   config.path_losses, truth.activity, si_term)
-    report = detector.detect_block(det, 0.0, x_hat=result.x_hat,
-                                   x_true=truth.effective_signal)
-    return result, det, report
-
-
-def _track_block(config: model.ScenarioConfig,
-                 scenario: model.ScenarioRealization, j: int,
-                 si: SideInfo | None):
-    """Estimate block j of the scenario given side information si, then
-    detect and score it; si enters both through its log-odds term,
-    computed once."""
-    si_term = 0.0 if si is None else si_log_odds(
-        si, config.path_losses, config.persistence, config.beta)
-    result = run_block(scenario.received[j], scenario.pilots, si_term, config)
-    return _detect(config, scenario, j, result, si_term)
+def _score(config: model.ScenarioConfig,
+           scenario: model.ScenarioRealization, variant: str,
+           blocks: list[AmpBlockResult], si_terms: list) -> TrialResult:
+    """Detect every block's activity from its estimate, with the
+    side-information term its estimate used, and score it at l = 0."""
+    detections, reports = [], []
+    for block, truth, si_term in zip(blocks, scenario.blocks, si_terms):
+        det = detector.block_detection(block.pseudo_obs, block.tau_final,
+                                       config.path_losses, truth.activity,
+                                       si_term)
+        detections.append(det)
+        reports.append(detector.detect_block(
+            det, 0.0, x_hat=block.x_hat, x_true=truth.effective_signal))
+    return TrialResult(variant=variant, blocks=blocks, detections=detections,
+                       reports=reports)
 
 
 def run_trial(config: model.ScenarioConfig, variant: str = "si", *,
               scenario=None, first_block=None) -> TrialResult:
-    """Generate a scenario and track it block by block.
+    """Generate a scenario, estimate its blocks, then detect and score them.
 
     With variant "si" each block after the first is denoised and detected
     using the previous block's converged pseudo-observations, one block
@@ -287,7 +273,7 @@ def run_trial(config: model.ScenarioConfig, variant: str = "si", *,
     them are estimated in one `run_blocks` call.  The scenario realization
     depends only on the config (named substreams), so both variants see
     identical data.  `run_trial_variants` passes in the scenario, and for
-    "si" the (estimate, detection, report) of block 1 that the variants
+    "si" the estimate of block 1 (an `AmpBlockResult`) that the variants
     share; without them both are computed here.
     """
     if variant not in VARIANTS:
@@ -297,33 +283,33 @@ def run_trial(config: model.ScenarioConfig, variant: str = "si", *,
     if variant == "nosi":
         if first_block is not None:
             raise ValueError("first_block starts the si chain only")
-        results = run_blocks(scenario.received, scenario.pilots, 0.0, config)
-        tracked = [_detect(config, scenario, j, result, 0.0)
-                   for j, result in enumerate(results)]
-    else:
-        tracked = [first_block if first_block is not None
-                   else _track_block(config, scenario, 0, None)]
-        for j in range(1, len(scenario.blocks)):
-            tracked.append(_track_block(config, scenario, j,
-                                        tracked[-1][0].side_info()))
-    blocks, detections, reports = (list(column) for column in zip(*tracked))
-    return TrialResult(variant=variant, blocks=blocks, detections=detections,
-                       reports=reports)
+        blocks = run_blocks(scenario.received, scenario.pilots, 0.0, config)
+        return _score(config, scenario, variant, blocks, [0.0] * len(blocks))
+    if first_block is None:
+        first_block = run_block(scenario.received[0], scenario.pilots, 0.0,
+                                config)
+    blocks, si_terms = [first_block], [0.0]
+    for y in scenario.received[1:]:
+        # computed once per block: its estimate and detection share it
+        si_terms.append(si_log_odds(blocks[-1].side_info(), config.path_losses,
+                                    config.persistence, config.beta))
+        blocks.append(run_block(y, scenario.pilots, si_terms[-1], config))
+    return _score(config, scenario, variant, blocks, si_terms)
 
 
 def run_trial_variants(config: model.ScenarioConfig) -> list[TrialResult]:
     """`run_trial` under each of `VARIANTS` on one scenario realization.
 
     Block 1 has no side information under any variant, so it is estimated
-    and detected once, within the nosi batch, and starts the si chain.
-    Returns one result per variant, in order; the nosi result equals
-    `run_trial(config, "nosi")` and the si result equals `run_trial(config,
-    "si", first_block=...)` given the nosi result's block 1.
+    once, within the nosi batch, and starts the si chain; each variant
+    detects and scores it, with identical results.  Returns one result
+    per variant, in order; the nosi result equals `run_trial(config,
+    "nosi")` and the si result equals `run_trial(config, "si",
+    first_block=...)` given the nosi result's block 1.
     """
     scenario = model.generate_scenario(config)
     nosi = run_trial(config, "nosi", scenario=scenario)
     si = run_trial(config, "si", scenario=scenario,
-                   first_block=(nosi.blocks[0], nosi.detections[0],
-                                nosi.reports[0]))
+                   first_block=nosi.blocks[0])
     trials = {"si": si, "nosi": nosi}
     return [trials[variant] for variant in VARIANTS]

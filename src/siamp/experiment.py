@@ -268,12 +268,10 @@ def _run_trial_counts(args):
         trials = run_trial_variants(config)
     except SiAmpError as exc:
         return index, None, repr(exc)
-    # block 1 is one shared detection under every variant: sweep it once
-    first_counts = sweep_block_counts(trials[0].detections[0], spec.l_grid)
     out = {}
     for trial in trials:
-        counts = [first_counts] + [sweep_block_counts(det, spec.l_grid)
-                                   for det in trial.detections[1:]]
+        counts = [sweep_block_counts(det, spec.l_grid)
+                  for det in trial.detections]
         fa, md, n_inactive, n_active = (np.array(c) for c in zip(*counts))
         out[trial.variant] = {
             "fa": fa, "md": md, "n_inactive": n_inactive, "n_active": n_active,
@@ -327,8 +325,8 @@ def run_experiment(spec: ExperimentSpec) -> AggregateResult:
     draws from substreams of its own derived seed and results are merged
     in trial order.  A trial that raises a library error (`SiAmpError`,
     such as a diverging block's `NonFiniteState`) is recorded and
-    skipped; more than 10% failures aborts the experiment.  Any other
-    exception propagates.
+    skipped; more than 10% failures aborts the experiment with a
+    `SiAmpError`.  Any other exception propagates.
     """
     spec.validate()
     start = time.time()
@@ -343,8 +341,8 @@ def run_experiment(spec: ExperimentSpec) -> AggregateResult:
     done = [payload for _, payload, _ in outcomes if payload is not None]
     failures = [(i, error) for i, _, error in outcomes if error is not None]
     if len(failures) > 0.1 * spec.num_trials:
-        raise RuntimeError(f"{len(failures)}/{spec.num_trials} trials failed: "
-                           f"{failures[:3]}")
+        raise SiAmpError(f"{len(failures)}/{spec.num_trials} trials failed: "
+                         f"{failures[:3]}")
 
     per_trial = {variant: {key: np.stack([trial[variant][key] for trial in done])
                            for key in done[0][variant]}

@@ -81,8 +81,9 @@ class ScenarioConfig:
                 beta_from(self.activity_rate, self.persistence)
             except InvalidConfig as exc:
                 out.append(str(exc))
-        if not self.noise_variance > 0.0:
-            out.append(f"noise_variance must be positive, got {self.noise_variance}")
+        if not 0.0 < self.noise_variance < np.inf:
+            out.append("noise_variance must be finite and positive, "
+                       f"got {self.noise_variance}")
         if self.rng_seed < 0:
             out.append(f"rng_seed must be nonnegative, got {self.rng_seed}")
         gammas = np.asarray(self.path_losses, dtype=float)
@@ -91,8 +92,8 @@ class ScenarioConfig:
             out.append(
                 f"path_losses must have shape ({self.num_devices},), got {gammas.shape}"
             )
-        elif not np.all(gammas > 0.0):
-            out.append("path_losses must all be positive")
+        elif not np.all((gammas > 0.0) & (gammas < np.inf)):
+            out.append("path_losses must all be finite and positive")
         return out
 
     def validate(self) -> "ScenarioConfig":

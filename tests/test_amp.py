@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from siamp import (AmpState, NonFiniteState, ScenarioConfig, SiAmpError,
-                   amp, amp_iterate, detector, estimate_tau,
-                   generate_scenario, pseudo_observations, run_block,
-                   run_blocks, run_trial, run_trial_variants)
+                   amp, amp_iterate, detector, generate_scenario,
+                   pseudo_observations, run_block, run_blocks, run_trial,
+                   run_trial_variants)
 from siamp.denoiser import SideInfo, denoise_rows, si_log_odds
 from siamp.streams import substream
 
@@ -59,22 +59,6 @@ class TestPseudoObservations:
                                 np.zeros((5, 3), complex))
 
 
-class TestEstimateTau:
-    def test_zero_residual(self):
-        assert estimate_tau(np.zeros((4, 3), complex)) == 0.0
-
-    def test_constant_magnitude(self):
-        r = np.full((5, 2), 0.3 - 0.4j)
-        assert estimate_tau(r) == pytest.approx(0.5, rel=1e-12)
-
-    def test_law_of_large_numbers(self):
-        rng = substream(3, "t")
-        sigma = 0.7
-        r = sigma * np.sqrt(0.5) * (rng.standard_normal((1000, 1000))
-                                    + 1j * rng.standard_normal((1000, 1000)))
-        assert estimate_tau(r) ** 2 == pytest.approx(sigma ** 2, rel=0.01)
-
-
 class TestIterate:
     def test_identity_denoiser_closed_form(self):
         cfg = small_config()
@@ -83,7 +67,8 @@ class TestIterate:
         s = scenario.pilots
         n = cfg.num_devices
         state = AmpState(x=np.zeros((n, cfg.num_antennas), complex),
-                         residual=y.copy(), tau=estimate_tau(y), t=0)
+                         residual=y.copy(),
+                         tau=np.linalg.norm(y) / np.sqrt(y.size), t=0)
         hook = lambda xt: (xt, np.ones(n))
         new = amp_iterate(state, y, s, 0.0, cfg, denoiser_fn=hook)
         expected_x = pseudo_observations(state.x, state.residual, s)
@@ -98,7 +83,8 @@ class TestIterate:
         s = scenario.pilots
         n = cfg.num_devices
         state = AmpState(x=np.zeros((n, cfg.num_antennas), complex),
-                         residual=y.copy(), tau=estimate_tau(y), t=0)
+                         residual=y.copy(),
+                         tau=np.linalg.norm(y) / np.sqrt(y.size), t=0)
         hook = lambda xt: (np.zeros_like(xt), np.zeros(n))
         new = amp_iterate(state, y, s, 0.0, cfg, denoiser_fn=hook)
         np.testing.assert_array_equal(new.x, 0.0)
@@ -116,7 +102,7 @@ class TestIterate:
                         + 1j * substream(5, "t").standard_normal((4, 2))),
             tau_prev=0.9)
         state = AmpState(x=np.zeros((4, 2), complex), residual=y.copy(),
-                         tau=estimate_tau(y), t=0)
+                         tau=np.linalg.norm(y) / np.sqrt(y.size), t=0)
         for _ in range(3):
             state = amp_iterate(state, y, s, si_log_odds(
                 prev, cfg.path_losses, cfg.persistence, cfg.beta), cfg)
@@ -157,7 +143,7 @@ class TestIterate:
         scenario = generate_scenario(cfg)
         y = scenario.received[0]
         state = AmpState(x=np.zeros((24, 2), complex), residual=y.copy(),
-                         tau=estimate_tau(y), t=0)
+                         tau=np.linalg.norm(y) / np.sqrt(y.size), t=0)
         hook = lambda xt: (np.full_like(xt, np.inf), np.ones(24))
         with pytest.raises(NonFiniteState):
             amp_iterate(state, y, scenario.pilots, 0.0, cfg,
@@ -340,8 +326,7 @@ class TestRunTrial:
         cfg = small_config(num_antennas=m, num_blocks=3)
         joint = run_trial_variants(cfg)
         assert [t.variant for t in joint] == ["si", "nosi"]
-        nosi = joint[1]
-        first_block = (nosi.blocks[0], nosi.detections[0], nosi.reports[0])
+        first_block = joint[1].blocks[0]
         for trial in joint:
             alone = run_trial(cfg, variant=trial.variant,
                               first_block=(first_block if trial.variant == "si"
@@ -360,9 +345,10 @@ class TestRunTrial:
 
     def test_side_info_term_computed_once_per_block(self, monkeypatch):
         # si_log_odds runs once per si block, never for nosi, and every
-        # denoiser and detector call of a block gets that one array
+        # denoiser call and the detection of a block get that one array
         cfg = small_config(num_blocks=4)
-        terms, calls = [], []  # calls: (blocks, si_term, callees' si_terms)
+        terms, calls = [], []  # calls: (blocks, si_term, denoisers' si_terms)
+        detected = []  # si_term of every detection, in block order
         real_si_log_odds, real_run_blocks = amp.si_log_odds, amp.run_blocks
         real_denoise_rows = amp.denoise_rows
         real_block_detection = detector.block_detection
@@ -380,7 +366,7 @@ class TestRunTrial:
             return real_denoise_rows(x, gamma, tau, lam, si_term)
 
         def recorded_block_detection(obs, tau, gamma, activity, si_term=0.0):
-            calls[-1][2].append(si_term)
+            detected.append(si_term)
             return real_block_detection(obs, tau, gamma, activity, si_term)
 
         monkeypatch.setattr(amp, "si_log_odds", counted_si_log_odds)
@@ -397,11 +383,26 @@ class TestRunTrial:
         for term, (_, block_term, callees) in zip(terms, calls[1:]):
             assert isinstance(term, np.ndarray) and term.shape == (24,)
             assert block_term is term
-            assert len(callees) >= 2 and all(c is term for c in callees)
+            assert callees and all(c is term for c in callees)
         _, block_term, callees = calls[0]
         assert block_term == 0.0
-        assert len(callees) >= 2 * j
-        assert all(isinstance(c, float) and c == 0.0 for c in callees)
+        # nosi detects its j blocks, then si its block 1 and its si blocks
+        assert len(detected) == 2 * j
+        for c in callees + detected[:j + 1]:
+            assert isinstance(c, float) and c == 0.0
+        assert all(c is term for c, term in zip(detected[j + 1:], terms))
+
+    def test_shared_first_block_scored_alike(self):
+        # block 1 is estimated once; each variant detects and scores that
+        # same estimate, with byte-identical results
+        cfg = small_config(num_blocks=3)
+        si, nosi = run_trial_variants(cfg)
+        assert si.blocks[0] is nosi.blocks[0]
+        a, b = si.detections[0], nosi.detections[0]
+        for name in ("energy", "llr", "delta", "offset"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert (np.float64(si.reports[0].metrics.nmse).tobytes()
+                == np.float64(nosi.reports[0].metrics.nmse).tobytes())
 
     def test_trial_determinism(self):
         cfg = small_config(num_blocks=2)
@@ -475,7 +476,7 @@ class TestAsymptotics:
             return out, np.zeros(cfg.num_devices)
 
         state = AmpState(x=np.zeros((2000, 1), complex), residual=y.copy(),
-                         tau=estimate_tau(y), t=0)
+                         tau=np.linalg.norm(y) / np.sqrt(y.size), t=0)
         for _ in range(25):
             state = amp_iterate(state, y, s, 0.0, cfg, denoiser_fn=no_onsager)
         err = (pseudo_observations(state.x, state.residual, s)

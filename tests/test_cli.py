@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import siamp
+from siamp import NonFiniteState, experiment
 from siamp.cli import main
 
 SIMULATE_OUTPUTS = ("roc.csv", "nmse.csv", "se_trace.csv", "denoiser_curve.csv",
@@ -185,6 +186,35 @@ def test_negative_seed_is_error(command, source, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "rng_seed must be nonnegative" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["dump-traces", "simulate"])
+@pytest.mark.parametrize("key", ["gamma", "noise_variance"])
+def test_infinite_scale_is_error(command, key, tiny_config, tmp_path, capsys):
+    # an infinite gain or noise variance is rejected before any draw
+    text = "".join(f"{key} = inf\n" if line.startswith(f"{key} =") else line
+                   for line in tiny_config.read_text().splitlines(True))
+    tiny_config.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, str(tiny_config), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "finite and positive" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_failed_trials_are_error(tiny_config, tmp_path, capsys, monkeypatch):
+    # more than 10% of the trials failed: the run stops with the reason
+    # and writes nothing
+    def failing(config):
+        raise NonFiniteState("diverged")
+    monkeypatch.setattr(experiment, "run_trial_variants", failing)
+    out = tmp_path / "out"
+    assert main(["simulate", str(tiny_config), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 3/3 trials failed")
+    assert "diverged" in err
     assert not out.exists()
 
 

@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from siamp import (NonFiniteState, ParseError, ValidationError, emit_csv,
-                   parse_config, run_experiment, spec_from_options)
+from siamp import (NonFiniteState, ParseError, SiAmpError, ValidationError,
+                   emit_csv, parse_config, run_experiment, spec_from_options)
 from siamp import amp, experiment, model
 from siamp.experiment import (_run_trial_counts, annulus_gains,
                               chained_se_traces, default_l_grid,
@@ -212,11 +212,11 @@ class TestRunExperiment:
         assert calls["generate_scenario"] == 1
         assert calls["run_trial"] == len(spec.variants)
         # block 1 has no side information under either variant, so it is
-        # estimated and swept once: one nosi batch of 3 blocks, then one
-        # kernel call per later si block
+        # estimated once: one nosi batch of 3 blocks, then one kernel call
+        # per later si block; every variant sweeps every block
         assert estimated == [3, 1, 1]
         assert sum(estimated) == 3 * len(spec.variants) - 1
-        assert calls["sweep_block_counts"] == 3 * len(spec.variants) - 1
+        assert calls["sweep_block_counts"] == 3 * len(spec.variants)
         first = out[spec.variants[0]]
         for variant in spec.variants[1:]:
             for key in ("fa", "md", "n_inactive", "n_active", "nmse",
@@ -270,6 +270,13 @@ class TestRunExperiment:
         for variant in result.spec.variants:
             assert result.per_trial[variant]["nmse"].shape[0] == 9
             assert result.curves[variant][0].num_trials == 9
+
+    def test_too_many_failures_is_library_error(self, monkeypatch):
+        def failing(config):
+            raise NonFiniteState("diverged")
+        monkeypatch.setattr(experiment, "run_trial_variants", failing)
+        with pytest.raises(SiAmpError, match="4/4 trials failed"):
+            run_experiment(spec_from_options(desk_options()))
 
     def test_trial_seeds_distinct_and_stable(self):
         seeds = [trial_seed(5, i) for i in range(100)]
