@@ -11,6 +11,7 @@ the next block.  A trial estimates all its blocks first, then detects and
 scores each one.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +28,9 @@ CONVERGENCE_TOL = 1e-6
 # guards the relative-change convergence test against a zero baseline
 _NORM_FLOOR = 1e-30
 
-# tau is clamped to this multiple of the strongest channel gain so the
-# precision gap in the denoiser never divides by zero
+# tau, an amplitude, is clamped to this multiple of the square root of the
+# strongest channel gain so the precision gap in the denoiser never
+# divides by zero, and the floor stays below tau at any admitted gain
 TAU_FLOOR_FACTOR = 1e-12
 
 # the compared variants: side information from the previous block, or none
@@ -98,14 +100,18 @@ def pseudo_observations(x: np.ndarray, residual: np.ndarray,
 
 
 def _tau_floor(config: model.ScenarioConfig) -> float:
-    return TAU_FLOOR_FACTOR * float(np.max(config.path_losses))
+    return TAU_FLOOR_FACTOR * math.sqrt(float(np.max(config.path_losses)))
 
 
 def _block_norms(a: np.ndarray, m: int) -> np.ndarray:
-    """(K,) Frobenius norms of the M-column blocks of a wide array, each
-    computed as `np.linalg.norm` of that block alone."""
-    return np.array([np.linalg.norm(a[:, i:i + m])
-                     for i in range(0, a.shape[1], m)])
+    """(K,) Frobenius norms of the M-column blocks of a wide array, with
+    `np.linalg.norm`'s arithmetic: the square root of re.re + im.im, each a
+    BLAS dot over the block's entries in row-major order."""
+    rows = a.shape[0]
+    # a view for one block, a block-major copy for several
+    b = a.reshape(rows, -1, m).transpose(1, 0, 2).reshape(-1, rows * m)
+    re, im = b.real, b.imag
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
 def _columns(blocks: np.ndarray, m: int) -> np.ndarray:
@@ -131,29 +137,41 @@ def amp_iterate(state: AmpState, y: np.ndarray, pilots: np.ndarray,
     m = state.x.shape[1] // k
     x_tilde = pseudo_observations(state.x, state.residual, pilots)
     # block-major rows, so every per-device operation runs along the devices
-    rows = np.ascontiguousarray(x_tilde.reshape(n, k, m).transpose(1, 0, 2))
+    rows = (x_tilde[None] if k == 1 else
+            np.ascontiguousarray(x_tilde.reshape(n, k, m).transpose(1, 0, 2)))
     if denoiser_fn is not None:
-        x_next, deriv = denoiser_fn(rows)
+        x_rows, deriv = denoiser_fn(rows)
     else:
         # a lone block's tau goes in as a scalar: broadcasting a (1, 1)
         # array costs about a microsecond in each denoiser operation
-        x_next, deriv = denoise_rows(rows, config.path_losses,
+        x_rows, deriv = denoise_rows(rows, config.path_losses,
                                      tau[:, None] if k > 1 else tau[0],
                                      config.activity_rate, si_term)
-    x_next = np.reshape(x_next, (k, n, m)).transpose(1, 0, 2).reshape(n, k * m)
-    # one correction scalar per block: the population average of its
-    # devices' entrywise-averaged derivatives
-    onsager = np.reshape(deriv, (k, n)).mean(axis=1)
-    if not np.all(np.isfinite(x_next)):
+    # a view of the denoiser's output for one block
+    x_next = x_rows.reshape(k, n, m).transpose(1, 0, 2).reshape(n, k * m)
+    if not np.isfinite(x_next).all():
         raise NonFiniteState(f"non-finite estimate at t={state.t + 1}")
-    correction = ((n / l) * onsager)[:, None] * state.residual.reshape(-1, k, m)
-    residual = y - pilots @ x_next + correction.reshape(-1, k * m)
-    if not np.all(np.isfinite(residual)):
+    # one correction scalar per block: the population average of its
+    # devices' entrywise-averaged derivatives (`mean`'s arithmetic)
+    onsager = np.add.reduce(deriv.reshape(k, n), axis=-1) / n
+    correction = state.residual * np.repeat((n / l) * onsager, m)
+    # S x by row halves, the later one first: the matched filter has just
+    # read S front to back, so its last rows are the ones still cached.
+    # The split falls on a multiple of 8 rows, where single-threaded
+    # OpenBLAS gives every row the bits of the full product.
+    # C order: once blocks have left the batch, the residual is not, and a
+    # strided output takes a different matmul path
+    s_x = np.empty((l, k * m), dtype=complex)
+    half = (l // 2) & ~7
+    np.matmul(pilots[half:], x_next, out=s_x[half:])
+    np.matmul(pilots[:half], x_next, out=s_x[:half])
+    residual = y - s_x + correction
+    if not np.isfinite(residual).all():
         raise NonFiniteState(f"non-finite residual at t={state.t + 1}")
     norms = _block_norms(residual, m)
     if tau_floor is None:
         tau_floor = _tau_floor(config)
-    tau = np.maximum(norms / np.sqrt(l * m), tau_floor)
+    tau = np.maximum(norms / math.sqrt(l * m), tau_floor)
     return AmpState(x=x_next, residual=residual, tau=tau, t=state.t + 1,
                     residual_norm=norms)
 
@@ -175,9 +193,9 @@ def run_blocks(received, pilots: np.ndarray, si_term,
     k = len(received)
     norms = _block_norms(y, m)
     state = AmpState(x=np.zeros((n, k * m), dtype=complex), residual=y,
-                     tau=np.maximum(norms / np.sqrt(l * m), tau_floor), t=0,
+                     tau=np.maximum(norms / math.sqrt(l * m), tau_floor), t=0,
                      residual_norm=norms)
-    tau_traces = [[tau] for tau in state.tau]
+    tau_traces = [[tau] for tau in state.tau.tolist()]
     delta_traces = [[] for _ in range(k)]
     res_traces = [[] for _ in range(k)]
     results = [None] * k
@@ -189,8 +207,9 @@ def run_blocks(received, pilots: np.ndarray, si_term,
         new_x_norms = _block_norms(new.x, m)
         change = (_block_norms(new.x - state.x, m)
                   / np.maximum(x_norms, _NORM_FLOOR))
-        for b, tau, delta, res in zip(active, new.tau, change,
-                                      new.residual_norm):
+        for b, tau, delta, res in zip(active, new.tau.tolist(),
+                                      change.tolist(),
+                                      new.residual_norm.tolist()):
             tau_traces[b].append(tau)
             delta_traces[b].append(delta)
             res_traces[b].append(res)

@@ -76,7 +76,8 @@ class SideInfo:
 
 
 def _row_norm_sq(x: np.ndarray) -> np.ndarray:
-    return np.sum(np.abs(x) ** 2, axis=-1)
+    # `np.sum`'s arithmetic without its wrapper
+    return np.add.reduce(np.abs(x) ** 2, axis=-1)
 
 
 def _log_or_neg_inf(p) -> float:
@@ -96,8 +97,9 @@ def log_odds_terms(gamma, tau: float, num_antennas: int):
     and SNRs.
     """
     tau_sq = tau * tau
-    delta = 1.0 / tau_sq - 1.0 / (tau_sq + gamma)
-    log_gain = num_antennas * np.log((tau_sq + gamma) / tau_sq)
+    total = tau_sq + gamma
+    delta = 1.0 / tau_sq - 1.0 / total
+    log_gain = num_antennas * np.log(total / tau_sq)
     return delta, log_gain
 
 

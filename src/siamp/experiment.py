@@ -25,7 +25,7 @@ from .amp import VARIANTS, run_trial_variants
 from .denoiser import SideInfo, denoise_rows, log_odds_terms, si_log_odds
 from .detector import _rate_stderr, aggregate_slot_counts, sweep_block_counts
 from .errors import ParseError, SiAmpError, ValidationError
-from .model import ScenarioConfig, path_loss_linear
+from .model import ScenarioConfig, path_loss_linear, power_violation
 from .state_evolution import SeParams, SeTrace, se_fixed_point
 from .streams import seed_sequence, substream
 
@@ -237,6 +237,10 @@ def spec_from_options(options: dict, source: str = "<options>") -> ExperimentSpe
         gains = annulus_gains(num_devices,
                               substream(seed, STREAM_PLACEMENT))
     else:
+        bad = power_violation("gamma", converted["gamma"],
+                              scenario.power_bound())
+        if bad:
+            raise ValidationError([bad])
         gains = np.full(num_devices, converted["gamma"], dtype=float)
     return replace(spec, scenario=replace(scenario,
                                           path_losses=gains)).validate()

@@ -6,6 +6,7 @@ Y = S X + Z for each coherence block, all driven by named RNG
 substreams of a single master seed.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,19 @@ def beta_from(lam: float, alpha: float) -> float:
     return beta
 
 
+def power_violation(name: str, values, bound: float) -> str | None:
+    """Why a gain or noise variance (every entry of an array of them) is
+    not finite, positive and at most `bound`, or None."""
+    values = np.asarray(values, dtype=float).ravel()
+    bad = values[~((values > 0.0) & (values < np.inf))]
+    if bad.size:
+        return f"{name} must be finite and positive, got {bad[0]}"
+    if values.max() > bound:
+        return (f"{name} must be at most sqrt(largest double)/(N*L*M) = "
+                f"{bound:.6g}, got {values.max()}")
+    return None
+
+
 def path_loss_linear(distance_km: float) -> float:
     """Linear power gain of the -128.1 - 36.7*log10(d_km) dB path loss law."""
     if not distance_km > 0.0:
@@ -66,12 +80,24 @@ class ScenarioConfig:
     def beta(self) -> float:
         return beta_from(self.activity_rate, self.persistence)
 
+    def power_bound(self) -> float:
+        """Largest gain or noise variance the config may hold.
+
+        ||y||^2 and tau^2 add up to about N*L*M such powers, and state
+        evolution squares powers (the sample variance of its per-sample
+        errors), so sqrt(largest double)/(N*L*M) keeps both finite.
+        """
+        return (math.sqrt(np.finfo(float).max)
+                / (self.num_devices * self.pilot_length * self.num_antennas))
+
     def violations(self) -> list[str]:
         """All invariant violations (empty list when valid)."""
-        out = []
-        for name in ("num_devices", "pilot_length", "num_antennas", "num_blocks"):
-            if getattr(self, name) < 1:
-                out.append(f"{name} must be a positive count")
+        bad_counts = [name for name in ("num_devices", "pilot_length",
+                                        "num_antennas", "num_blocks")
+                      if getattr(self, name) < 1]
+        out = [f"{name} must be a positive count" for name in bad_counts]
+        # with a bad count the powers are only checked for sign and finiteness
+        bound = np.inf if bad_counts else self.power_bound()
         if not 0.0 < self.activity_rate < 1.0:
             out.append(f"activity_rate must be in (0,1), got {self.activity_rate}")
         if not 0.0 <= self.persistence <= 1.0:
@@ -81,9 +107,7 @@ class ScenarioConfig:
                 beta_from(self.activity_rate, self.persistence)
             except InvalidConfig as exc:
                 out.append(str(exc))
-        if not 0.0 < self.noise_variance < np.inf:
-            out.append("noise_variance must be finite and positive, "
-                       f"got {self.noise_variance}")
+        out.append(power_violation("noise_variance", self.noise_variance, bound))
         if self.rng_seed < 0:
             out.append(f"rng_seed must be nonnegative, got {self.rng_seed}")
         gammas = np.asarray(self.path_losses, dtype=float)
@@ -92,9 +116,9 @@ class ScenarioConfig:
             out.append(
                 f"path_losses must have shape ({self.num_devices},), got {gammas.shape}"
             )
-        elif not np.all((gammas > 0.0) & (gammas < np.inf)):
-            out.append("path_losses must all be finite and positive")
-        return out
+        elif gammas.size:
+            out.append(power_violation("path_losses", gammas, bound))
+        return [v for v in out if v is not None]
 
     def validate(self) -> "ScenarioConfig":
         bad = self.violations()

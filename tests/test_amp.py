@@ -9,7 +9,7 @@ from scipy import stats
 from siamp import (AmpState, NonFiniteState, ScenarioConfig, SiAmpError,
                    amp, amp_iterate, detector, generate_scenario,
                    pseudo_observations, run_block, run_blocks, run_trial,
-                   run_trial_variants)
+                   run_trial_variants, spec_from_options)
 from siamp.denoiser import SideInfo, denoise_rows, si_log_odds
 from siamp.streams import substream
 
@@ -133,7 +133,8 @@ class TestIterate:
                     1 + delta * np.sum(np.abs(xt) ** 2) / 2 * (1 - pa))
             r = y - s @ x_new + (4 / 3) * np.mean(derivs) * r
             x = x_new
-            tau = max(np.linalg.norm(r) / np.sqrt(6), 1e-12 * cfg.path_losses.max())
+            tau = max(np.linalg.norm(r) / np.sqrt(6),
+                      1e-12 * np.sqrt(cfg.path_losses.max()))
         np.testing.assert_allclose(state.x, x, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(state.residual, r, rtol=1e-12, atol=1e-15)
         assert state.tau == pytest.approx(tau, rel=1e-12)
@@ -279,6 +280,91 @@ class TestRunBlocks:
                          "delta_x_trace", "residual_fro_trace"):
                 assert getattr(x, name).tobytes() == getattr(y, name).tobytes()
             assert (x.iters_used, x.converged) == (y.iters_used, y.converged)
+
+
+def oracle_run_blocks(received, pilots, si_term, cfg):
+    """The block estimator in its first, straight-line form: the full
+    product `pilots @ x`, `np.linalg.norm` of each block, `mean` for the
+    Onsager term and numpy scalars in the traces."""
+    n, l, m = cfg.num_devices, cfg.pilot_length, cfg.num_antennas
+    tau_floor = amp.TAU_FLOOR_FACTOR * np.sqrt(np.max(cfg.path_losses))
+
+    def block_norms(a):
+        return np.array([np.linalg.norm(a[:, i:i + m])
+                         for i in range(0, a.shape[1], m)])
+
+    def columns(blocks):
+        return (blocks[:, None] * m + np.arange(m)).ravel()
+
+    active = list(range(len(received)))
+    y = np.concatenate(received, axis=1)
+    x, r = np.zeros((n, len(active) * m), complex), y
+    tau = np.maximum(block_norms(y) / np.sqrt(l * m), tau_floor)
+    traces = {b: ([t], [], []) for b, t in zip(active, tau)}
+    x_norms, results, t = np.zeros(len(active)), {}, 0
+    while active:
+        k = len(active)
+        x_tilde = x + np.conj(pilots.T @ np.conj(r))
+        rows = np.ascontiguousarray(x_tilde.reshape(n, k, m).transpose(1, 0, 2))
+        x_rows, deriv = denoise_rows(rows, cfg.path_losses,
+                                     tau[:, None] if k > 1 else tau[0],
+                                     cfg.activity_rate, si_term)
+        x_new = x_rows.transpose(1, 0, 2).reshape(n, k * m)
+        onsager = np.reshape(deriv, (k, n)).mean(axis=1)
+        correction = ((n / l) * onsager)[:, None] * r.reshape(-1, k, m)
+        r = y - pilots @ x_new + correction.reshape(-1, k * m)
+        norms = block_norms(r)
+        tau = np.maximum(norms / np.sqrt(l * m), tau_floor)
+        change = block_norms(x_new - x) / np.maximum(x_norms, 1e-30)
+        x, x_norms, t = x_new, block_norms(x_new), t + 1
+        for b, tau_b, delta, res in zip(active, tau, change, norms):
+            traces[b][0].append(tau_b)
+            traces[b][1].append(delta)
+            traces[b][2].append(res)
+        converged = change < amp.CONVERGENCE_TOL
+        done = converged | (t == amp.MAX_ITERS)
+        leaving, keep = np.flatnonzero(done), np.flatnonzero(~done)
+        cols = columns(leaving)
+        x_hat, residual = x[:, cols], r[:, cols]
+        pseudo_obs = x_hat + np.conj(pilots.T @ np.conj(residual))
+        for i, j in enumerate(leaving):
+            own = slice(i * m, (i + 1) * m)
+            results[active[j]] = (x_hat[:, own], pseudo_obs[:, own],
+                                  residual[:, own],
+                                  *map(np.asarray, traces[active[j]]), t,
+                                  bool(converged[j]))
+        cols = columns(keep)
+        x, r, y = x[:, cols], r[:, cols], y[:, cols]
+        tau, x_norms = tau[keep], x_norms[keep]
+        active = [active[j] for j in keep]
+    return [results[b] for b in range(len(received))]
+
+
+class TestOracle:
+    @pytest.mark.parametrize("preset", ["fig3-desk", "fig4-desk"])
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_reproduces_straight_line_estimator(self, preset, k):
+        # every output byte of run_block (the si chain) and run_blocks
+        # (the nosi batch) on desk-shaped blocks, M = 1 and M = 2
+        cfg = spec_from_options({"preset": preset}).scenario
+        assert cfg.num_blocks == 5
+        scenario = generate_scenario(cfg)
+        if k == 1:
+            first = run_block(scenario.received[0], scenario.pilots, 0.0, cfg)
+            si_term = si_log_odds(first.side_info(), cfg.path_losses,
+                                  cfg.persistence, cfg.beta)
+            received = scenario.received[1:2]
+            got = [run_block(received[0], scenario.pilots, si_term, cfg)]
+        else:
+            si_term, received = 0.0, scenario.received
+            got = run_blocks(received, scenario.pilots, si_term, cfg)
+        want = oracle_run_blocks(received, scenario.pilots, si_term, cfg)
+        names = ("x_hat", "pseudo_obs", "residual", "tau_trace",
+                 "delta_x_trace", "residual_fro_trace")
+        for block, expected in zip(got, want, strict=True):
+            for name, value in zip(names, expected):
+                assert getattr(block, name).tobytes() == value.tobytes(), name
+            assert (block.iters_used, block.converged) == expected[-2:]
 
 
 class TestRunTrial:

@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -192,16 +193,60 @@ def test_negative_seed_is_error(command, source, tmp_path, capsys):
 @pytest.mark.parametrize("command", ["dump-traces", "simulate"])
 @pytest.mark.parametrize("key", ["gamma", "noise_variance"])
 def test_infinite_scale_is_error(command, key, tiny_config, tmp_path, capsys):
-    # an infinite gain or noise variance is rejected before any draw
-    text = "".join(f"{key} = inf\n" if line.startswith(f"{key} =") else line
-                   for line in tiny_config.read_text().splitlines(True))
-    tiny_config.write_text(text)
+    # an infinite gain or noise variance is rejected before any draw, under
+    # the name the config file uses
+    set_key(tiny_config, key, "inf")
     out = tmp_path / "out"
     assert main([command, str(tiny_config), "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert "finite and positive" in err and "Traceback" not in err
+    assert f"{key} must be finite and positive" in err
+    assert "path_losses" not in err and "Traceback" not in err
     assert not out.exists()
+
+
+def set_key(config_path, key, value):
+    text = "".join(f"{key} = {value}\n" if line.startswith(f"{key} =")
+                   else line
+                   for line in config_path.read_text().splitlines(True))
+    config_path.write_text(text)
+
+
+def tiny_power_bound(config_path):
+    # sqrt(largest double) / (N*L*M) for the config's 60 devices, 24 pilots
+    # and one antenna
+    spec = experiment.parse_config(config_path)
+    assert spec.scenario.num_devices * spec.scenario.pilot_length == 60 * 24
+    return float(np.sqrt(np.finfo(float).max) / (60 * 24 * 1))
+
+
+@pytest.mark.parametrize("command", ["dump-traces", "simulate"])
+@pytest.mark.parametrize("key", ["gamma", "noise_variance"])
+def test_scale_above_power_bound_is_error(command, key, tiny_config, tmp_path,
+                                          capsys):
+    # a finite power whose sums or squares would overflow is rejected too
+    above = float(np.nextafter(tiny_power_bound(tiny_config), np.inf))
+    set_key(tiny_config, key, repr(above))
+    out = tmp_path / "out"
+    assert main([command, str(tiny_config), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid configuration:\n  - {key} must be "
+                          "at most sqrt(largest double)/(N*L*M)")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_gain_below_power_bound_runs_cleanly(tiny_config, tmp_path):
+    # the largest admitted gain runs every trial with no numpy warning
+    below = float(np.nextafter(tiny_power_bound(tiny_config), 0.0))
+    set_key(tiny_config, "gamma", repr(below))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", str(tiny_config), "--out-dir", str(out)]) == 0
+    with open(out / "nmse.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and all(np.isfinite(float(row["nmse"])) for row in rows)
 
 
 def test_failed_trials_are_error(tiny_config, tmp_path, capsys, monkeypatch):
