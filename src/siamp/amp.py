@@ -155,12 +155,11 @@ def amp_iterate(state: AmpState, y: np.ndarray, pilots: np.ndarray,
     # devices' entrywise-averaged derivatives (`mean`'s arithmetic)
     onsager = np.add.reduce(deriv.reshape(k, n), axis=-1) / n
     correction = state.residual * np.repeat((n / l) * onsager, m)
-    # S x by row halves, the later one first: the matched filter has just
-    # read S front to back, so its last rows are the ones still cached.
-    # The split falls on a multiple of 8 rows, where single-threaded
-    # OpenBLAS gives every row the bits of the full product.
-    # C order: once blocks have left the batch, the residual is not, and a
-    # strided output takes a different matmul path
+    # S x by row halves split at a multiple of 8 rows, the later half
+    # first: the matched filter has just read S front to back, so its last
+    # rows are still cached.  Single-threaded OpenBLAS gives every row the
+    # bits of the full product.  The buffer is C-ordered: a shrunk batch's
+    # residual is not, and matmul rounds differently into a strided output.
     s_x = np.empty((l, k * m), dtype=complex)
     half = (l // 2) & ~7
     np.matmul(pilots[half:], x_next, out=s_x[half:])
