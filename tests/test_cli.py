@@ -215,8 +215,9 @@ def set_key(config_path, key, value):
 def tiny_power_bound(config_path):
     # sqrt(largest double) / (N*L*M) for the config's 60 devices, 24 pilots
     # and one antenna
-    spec = experiment.parse_config(config_path)
-    assert spec.scenario.num_devices * spec.scenario.pilot_length == 60 * 24
+    scenario = experiment.parse_config(config_path).scenario
+    assert (scenario.num_devices, scenario.pilot_length,
+            scenario.num_antennas) == (60, 24, 1)
     return float(np.sqrt(np.finfo(float).max) / (60 * 24 * 1))
 
 
