@@ -27,5 +27,6 @@ from .model import (BlockTruth, ScenarioConfig, ScenarioRealization,
                     beta_from, draw_pilot_matrix, generate_scenario,
                     path_loss_linear, sample_activity_trace,
                     synthesize_block, trace_table)
-from .state_evolution import SeParams, SeTrace, se_fixed_point, se_step
+from .state_evolution import (SeParams, SeTrace, draw_samples, se_fixed_point,
+                              se_step)
 from .streams import seed_sequence, substream

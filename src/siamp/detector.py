@@ -147,13 +147,18 @@ def block_detection(pseudo_obs: np.ndarray, tau: float, gamma,
                           activity=np.asarray(activity, dtype=bool))
 
 
+def _energy_threshold(l, offset, delta):
+    """The energy above which a device is declared active at level `l`."""
+    return (l + offset) / delta
+
+
 def detect_block(det: BlockDetection, l: float,
                  x_hat: np.ndarray | None = None,
                  x_true: np.ndarray | None = None) -> DetectionReport:
     """Apply the energy test at level `l` to a prepared block: a device is
     declared active iff its energy strictly exceeds its threshold, so ties
     resolve inactive."""
-    threshold = (l + det.offset) / det.delta
+    threshold = _energy_threshold(l, det.offset, det.delta)
     decisions = det.energy > threshold
     metrics = compute_metrics(decisions, det.activity, x_hat, x_true)
     return DetectionReport(threshold=threshold, decisions=decisions,
@@ -177,7 +182,8 @@ def sweep_block_counts(det: BlockDetection, l_grid: np.ndarray):
         level = first_inactive + step - 1
         inside = level < size
         l = l_grid[np.minimum(level, size - 1)]
-        declared = inside & (det.energy > (l + det.offset) / det.delta)
+        threshold = _energy_threshold(l, det.offset, det.delta)
+        declared = inside & (det.energy > threshold)
         first_inactive = np.where(declared, first_inactive + step,
                                   first_inactive)
     inactive = ~det.activity

@@ -23,7 +23,8 @@ import numpy as np
 from . import __version__
 from .amp import VARIANTS, run_trial_variants
 from .denoiser import SideInfo, denoise_rows, log_odds_terms, si_log_odds
-from .detector import _rate_stderr, aggregate_slot_counts, sweep_block_counts
+from .detector import (_energy_threshold, _rate_stderr, aggregate_slot_counts,
+                       sweep_block_counts)
 from .errors import ParseError, SiAmpError, ValidationError
 from .model import ScenarioConfig, path_loss_linear, power_violation
 from .state_evolution import SeParams, SeTrace, se_fixed_point
@@ -32,6 +33,11 @@ from .streams import seed_sequence, substream
 STREAM_PLACEMENT = "placement"
 STREAM_TRIAL = "trial"
 STREAM_SE_TRACE = "se-trace"
+
+# smallest gamma/noise_variance admitted: below about 1e-16 the gain rounds
+# away in tau^2 + gamma, so delta = 1/tau^2 - 1/(tau^2 + gamma) is 0 and the
+# energy threshold 0/0; at 2^-40 delta keeps about 13 significant bits
+MIN_GAIN_TO_NOISE = 2.0 ** -40
 
 # the cell of every physical placement
 CELL_RADIUS_KM = 1.0
@@ -237,11 +243,14 @@ def spec_from_options(options: dict, source: str = "<options>") -> ExperimentSpe
         gains = annulus_gains(num_devices,
                               substream(seed, STREAM_PLACEMENT))
     else:
-        bad = power_violation("gamma", converted["gamma"],
-                              scenario.power_bound())
+        gamma = converted["gamma"]
+        bad = power_violation("gamma", gamma, scenario.power_bound())
+        if not bad and gamma / noise_variance < MIN_GAIN_TO_NOISE:
+            bad = (f"gamma must be at least 2^-40*noise_variance = "
+                   f"{MIN_GAIN_TO_NOISE * noise_variance:.6g}, got {gamma}")
         if bad:
             raise ValidationError([bad])
-        gains = np.full(num_devices, converted["gamma"], dtype=float)
+        gains = np.full(num_devices, gamma, dtype=float)
     return replace(spec, scenario=replace(scenario,
                                           path_losses=gains)).validate()
 
@@ -378,15 +387,13 @@ def chained_se_traces(spec: ExperimentSpec) -> dict[str, list[SeTrace]]:
     Every nosi slot and si slot 1 run the same recursion without side
     information, so it is solved once and that trace is shared.  Each
     later si slot conditions on the previous slot's converged fixed point.
-    Every trace replays one common draw: `se_step` draws the case, gain,
-    signal and current noise before the side-information-only draws, so
-    si and nosi are paired sample by sample and their fixed points differ
-    by what the side information does, not by Monte Carlo noise.
+    Every trace draws from one stream (`draw_samples`), so si and nosi
+    fixed points differ by what the side information does, not by Monte
+    Carlo noise.
     """
     def solve(tau_prev=None):
         params = SeParams.from_scenario(spec.scenario, tau_prev=tau_prev,
                                         sample_count=spec.se_sample_count)
-        # the no-SI trace's stream, replayed by every trace
         rng = substream(spec.scenario.rng_seed, STREAM_SE_TRACE, "nosi", 0)
         return se_fixed_point(params, rng)
 
@@ -446,10 +453,12 @@ def detector_threshold_curve(gamma: float, tau: float, tau_prev: float,
     delta, log_gain = log_odds_terms(gamma, tau, num_antennas)
     si_term = si_log_odds(SideInfo(pseudo_obs=prev, tau_prev=tau_prev),
                           gamma, alpha, beta)
-    t_si = (l + (log_gain + si_term)) / delta
+    t_si = _energy_threshold(l, log_gain + si_term, delta)
+    t_nosi = _energy_threshold(l, log_gain, delta)
     base = l + log_gain
-    t_nosi = base / delta
-    with np.errstate(divide="ignore"):
+    # the limits are infinite at persistence 0 or 1, and beyond double range
+    # when the persistence is subnormal
+    with np.errstate(divide="ignore", over="ignore"):
         lower = (base + np.log(np.float64(beta) / alpha)) / delta
         upper = (base + np.log(np.float64(1.0 - beta) / (1.0 - alpha))) / delta
     rows = [(float(p), float(t), float(t_nosi)) for p, t in zip(prev_grid, t_si)]

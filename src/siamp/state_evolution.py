@@ -6,8 +6,8 @@ per antenna; tau evolves by adding the load-scaled per-antenna MSE of the
 denoiser to the channel noise floor.  The MSE expectation is estimated by
 Monte Carlo over the generative model (activity case, channels, noise,
 and in SI mode the previous block's effective observation).  A trace
-replays one set of draws at every step (common random numbers), so the
-recursion it iterates is a deterministic map with a true fixed point.
+draws its samples once and maps them at every step (common random
+numbers), so its recursion is a deterministic map with a true fixed point.
 """
 
 from dataclasses import dataclass
@@ -18,7 +18,7 @@ from .denoiser import SideInfo, denoise_rows, si_log_odds
 from .errors import InvalidConfig
 from .model import ScenarioConfig
 
-__all__ = ["SeParams", "SeTrace", "se_step", "se_fixed_point"]
+__all__ = ["SeParams", "SeTrace", "draw_samples", "se_step", "se_fixed_point"]
 
 REL_TOL = 1e-4  # relative change of tau^2 below which a trace has converged
 MAX_STEPS = 200  # steps after which a trace is returned unconverged
@@ -73,53 +73,54 @@ class SeTrace:
         return float(self.tau_sq[-1])
 
 
-def _complex_std_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+def draw_samples(params: SeParams, rng: np.random.Generator):
+    """A trace's samples, drawn once: (gamma, x_true, noise, si_term).
 
+    Draw order: the four-case activity, the gain, the truth and the unit
+    current noise, then in SI mode the previous truth and its noise (real
+    parts before imaginary ones).  The no-SI draws come first, so si and
+    nosi traces drawn from one stream are paired sample by sample.
+    """
+    s, m = params.sample_count, params.num_antennas
 
-def _sample_case(rng: np.random.Generator, params: SeParams, size: int):
+    def unit_normal():
+        return (rng.standard_normal((s, m))
+                + 1j * rng.standard_normal((s, m))) / np.sqrt(2.0)
+
+    # case = 2*(inactive before) + (inactive now)
     priors = np.array([
         params.alpha * params.lam,
         (1.0 - params.alpha) * params.lam,
         params.beta * (1.0 - params.lam),
         (1.0 - params.beta) * (1.0 - params.lam),
     ])
-    case = rng.choice(4, size=size, p=priors)
-    active_now = (case == 0) | (case == 2)
-    active_prev = (case == 0) | (case == 1)
-    return active_now, active_prev
+    case = rng.choice(4, size=s, p=priors)
+    gamma = rng.choice(params.gammas, size=s)
+    scale = np.sqrt(gamma)[:, None]
+    x_true = np.where((case % 2 == 0)[:, None], scale * unit_normal(), 0.0)
+    noise = unit_normal()
+    if params.tau_prev is None:
+        return gamma, x_true, noise, 0.0
+    x_prev = np.where((case < 2)[:, None], scale * unit_normal(), 0.0)
+    prev = SideInfo(pseudo_obs=x_prev + params.tau_prev * unit_normal(),
+                    tau_prev=params.tau_prev)
+    si_term = si_log_odds(prev, gamma, params.alpha, params.beta)
+    return gamma, x_true, noise, si_term
 
 
-def se_step(tau_sq: float, params: SeParams, rng: np.random.Generator,
-            denoiser_fn=None):
-    """One recursion step: (next tau^2, Monte Carlo standard error).
-
-    Draws (activity case, channel gain, truth, noise) per sample, applies
-    the denoiser at the current tau, and averages the per-antenna squared
-    error.  When `params.tau_prev` is set (SI mode) it also draws the
-    previous block's observation and denoises with it as side
-    information.  `denoiser_fn(x_tilde, x_true, prev_obs)` replaces the
-    real denoiser when given (test hook).
+def se_step(tau_sq: float, params: SeParams, samples, denoiser_fn=None):
+    """One recursion step: (next tau^2, Monte Carlo standard error), a pure
+    map of `draw_samples`' output.  `denoiser_fn(x_tilde, x_true)` replaces
+    the real denoiser when given (test hook).
     """
     if not tau_sq > 0.0:
         raise InvalidConfig(f"tau_sq must be positive, got {tau_sq}")
-    s, m = params.sample_count, params.num_antennas
+    gamma, x_true, noise, si_term = samples
+    s, m = x_true.shape
     tau = float(np.sqrt(tau_sq))
-    active_now, active_prev = _sample_case(rng, params, s)
-    gamma = rng.choice(params.gammas, size=s)
-    scale = np.sqrt(gamma)[:, None]
-    x_true = np.where(active_now[:, None], scale * _complex_std_normal(rng, (s, m)), 0.0)
-    x_tilde = x_true + tau * _complex_std_normal(rng, (s, m))
-    prev_obs, si_term = None, 0.0
-    if params.tau_prev is not None:
-        x_prev = np.where(active_prev[:, None],
-                          scale * _complex_std_normal(rng, (s, m)), 0.0)
-        prev_obs = x_prev + params.tau_prev * _complex_std_normal(rng, (s, m))
-        si_term = si_log_odds(SideInfo(pseudo_obs=prev_obs,
-                                       tau_prev=params.tau_prev),
-                              gamma, params.alpha, params.beta)
+    x_tilde = x_true + tau * noise
     if denoiser_fn is not None:
-        estimates = denoiser_fn(x_tilde, x_true, prev_obs)
+        estimates = denoiser_fn(x_tilde, x_true)
     else:
         estimates, _ = denoise_rows(x_tilde, gamma, tau, params.lam, si_term)
     per_sample_mse = np.sum(np.abs(estimates - x_true) ** 2, axis=-1) / m
@@ -133,18 +134,17 @@ def se_fixed_point(params: SeParams, rng: np.random.Generator) -> SeTrace:
 
     Starts from the zero-denoiser level noise_variance + load*lam*E[gamma]
     and stops when the relative change drops below `REL_TOL`.  Every step
-    replays the draws made from `rng`'s starting state.  A trace that fails
-    to converge within `MAX_STEPS` is returned with converged=False.
+    maps one set of samples drawn from `rng`.  A trace that fails to
+    converge within `MAX_STEPS` is returned with converged=False.
     """
-    start = rng.bit_generator.state
+    samples = draw_samples(params, rng)
     mean_gamma = float(np.mean(params.gammas))
     tau_sq = params.noise_variance + params.load * params.lam * mean_gamma
     trace = [tau_sq]
     errs = [0.0]
     converged = False
     for _ in range(MAX_STEPS):
-        rng.bit_generator.state = start
-        nxt, err = se_step(tau_sq, params, rng)
+        nxt, err = se_step(tau_sq, params, samples)
         trace.append(nxt)
         errs.append(err)
         converged = abs(nxt - tau_sq) / tau_sq < REL_TOL

@@ -238,16 +238,37 @@ def test_scale_above_power_bound_is_error(command, key, tiny_config, tmp_path,
 
 
 def test_gain_below_power_bound_runs_cleanly(tiny_config, tmp_path):
-    # the largest admitted gain runs every trial with no numpy warning
-    below = float(np.nextafter(tiny_power_bound(tiny_config), 0.0))
-    set_key(tiny_config, "gamma", repr(below))
+    # the largest admitted gain runs every trial with no numpy warning, and
+    # so does the largest admitted noise variance, under that gain so that
+    # gamma/noise_variance clears its floor
+    below = repr(float(np.nextafter(tiny_power_bound(tiny_config), 0.0)))
+    for keys in (["gamma"], ["gamma", "noise_variance"]):
+        for key in keys:
+            set_key(tiny_config, key, below)
+        out = tmp_path / "-".join(keys)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", str(tiny_config),
+                         "--out-dir", str(out)]) == 0
+        with open(out / "nmse.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(np.isfinite(float(row["nmse"])) for row in rows)
+
+
+@pytest.mark.parametrize("command", ["dump-traces", "simulate"])
+def test_gain_below_noise_floor_is_error(command, tiny_config, tmp_path,
+                                         capsys):
+    # at gamma/noise_variance = 1e-20 the gain rounds away in tau^2 + gamma
+    # and the energy test would divide 0 by 0; the config is rejected under
+    # the name it uses
+    set_key(tiny_config, "noise_variance", "1e20")
     out = tmp_path / "out"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["simulate", str(tiny_config), "--out-dir", str(out)]) == 0
-    with open(out / "nmse.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert rows and all(np.isfinite(float(row["nmse"])) for row in rows)
+    assert main([command, str(tiny_config), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration:\n  - gamma must be "
+                          "at least 2^-40*noise_variance")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_failed_trials_are_error(tiny_config, tmp_path, capsys, monkeypatch):

@@ -1,10 +1,14 @@
 import csv
 import os
+import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siamp import (NonFiniteState, ParseError, SiAmpError, ValidationError,
                    emit_csv, parse_config, run_experiment, spec_from_options)
@@ -353,3 +357,38 @@ class TestCurves:
         grid = default_l_grid()
         assert grid.size > 0
         assert np.all(np.diff(grid) > 0)
+
+
+@st.composite
+def config_options(draw):
+    # the admitted ranges, powers log-uniform up to the power bound
+    n, l = draw(st.integers(4, 79)), draw(st.integers(2, 59))
+    m = draw(st.sampled_from([1, 2, 8]))
+    lam = draw(st.floats(0.01, 0.6))
+    persistence = draw(st.sampled_from([0.0, lam, 1.0, None]))
+    if persistence is None:
+        persistence = draw(st.floats(0.0, 1.0))
+    top = np.log10(np.sqrt(np.finfo(float).max) / (n * l * m))
+
+    def power():
+        return 10.0 ** draw(st.floats(-25.0, top))
+
+    return {"num_devices": n, "pilot_length": l, "num_antennas": m,
+            "num_blocks": draw(st.integers(1, 3)), "activity_rate": lam,
+            "persistence": persistence, "gamma": power(),
+            "noise_variance": power(), "rng_seed": draw(st.integers(0, 999)),
+            "num_trials": draw(st.integers(2, 3)), "se_sample_count": 200,
+            "l_grid": "-10:10:21"}
+
+
+@settings(max_examples=600, deadline=None)
+@given(config_options())
+def test_admitted_config_runs_cleanly_or_is_rejected(options):
+    # every config either writes its outputs with no warning or stops with
+    # a library error
+    with warnings.catch_warnings(), tempfile.TemporaryDirectory() as out:
+        warnings.simplefilter("error")
+        try:
+            emit_csv(run_experiment(spec_from_options(options)), out)
+        except SiAmpError:
+            pass
