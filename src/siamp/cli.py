@@ -150,7 +150,7 @@ def _cmd_amp_trace(args) -> int:
 def _cmd_oracle_check(args) -> int:
     from .denoiser import (DenoiserParams, denoise_rows, draw_case_pair,
                            oracle_posterior_mean, si_log_odds)
-    from .detector import block_detection, detect_block, llr_appendix_oracle
+    from .detector import block_detection, llr_appendix_oracle
     from .model import beta_from
 
     seed = args.seed if args.seed is not None else 0
@@ -185,7 +185,12 @@ def _cmd_oracle_check(args) -> int:
         max_llr_err = max(max_llr_err, abs(llr - llr_ref) / max(abs(llr_ref), 1.0))
         l = float(rng.uniform(-10, 10))
         if abs(llr - l) > 1e-9:
-            if bool(detect_block(det, l).decisions[0]) != (llr > l):
+            # the energy threshold the detector-curve table publishes
+            (_, rows), _, _ = detector_threshold_curve(
+                gamma, tau, tau_prev, alpha, beta, m, l,
+                [np.linalg.norm(si.pseudo_obs)])
+            energy = np.sum(np.abs(x_t) ** 2)
+            if (energy > rows[0][1]) != (llr > l):
                 disagreements += 1
     print(f"denoiser oracle: max relative error {max_denoise_err:.3e} "
           f"(tolerance 1e-9)")

@@ -1,10 +1,10 @@
 """Activity detection from converged pseudo-observations.
 
-The likelihood-ratio test for "device active in this block" reduces to an
-energy threshold on the pseudo-observation; with side information the
-threshold shifts per device according to how active the device looked in
-the previous block.  A single scalar `l` is shared by all devices and
-blocks; sweeping it traces the false-alarm / missed-detection tradeoff.
+A device is declared active in a block when the log-likelihood ratio
+(LLR) of "active now" exceeds a level `l`; with side information the LLR
+shifts per device according to how active the device looked in the
+previous block.  A single scalar `l` is shared by all devices and blocks;
+sweeping it traces the false-alarm / missed-detection tradeoff.
 """
 
 from dataclasses import dataclass
@@ -50,25 +50,18 @@ class DetectionMetrics:
 @dataclass(frozen=True)
 class DetectionReport:
     """Per-device test outcomes plus block-level metrics at one `l`; the
-    LLRs and energies it tests are those of its `BlockDetection`."""
+    LLRs it tests are those of its `BlockDetection`."""
 
-    threshold: np.ndarray  # (N,)
     decisions: np.ndarray  # (N,) bool
     metrics: DetectionMetrics
 
 
 @dataclass(frozen=True)
 class BlockDetection:
-    """Everything needed to re-threshold one block at any `l`.
+    """Everything needed to test one block at any `l`, so a sweep over
+    `l` never has to rerun the estimator."""
 
-    The per-device energy threshold is (l + offset_n)/delta_n, so a sweep
-    over `l` never has to rerun the estimator.
-    """
-
-    energy: np.ndarray  # (N,) squared norms of converged pseudo-observations
-    llr: np.ndarray  # (N,)
-    delta: np.ndarray  # (N,) precision gap, positive for gamma > 0
-    offset: np.ndarray  # (N,) l-independent part of the threshold numerator
+    llr: np.ndarray  # (N,) log-odds of "active now"
     activity: np.ndarray  # (N,) bool ground truth
 
 
@@ -130,70 +123,42 @@ def block_detection(pseudo_obs: np.ndarray, tau: float, gamma,
                     activity: np.ndarray, si_term=0.0) -> BlockDetection:
     """Vectorized detection state for one block (all devices at once).
 
-    The LLR of "active now" is delta*energy - offset with
-    offset = M*log((tau^2+gamma)/tau^2) + si_term (`si_log_odds`); testing
-    it against `l` is the energy test energy > (l + offset)/delta.
+    The LLR of "active now" is delta*energy - (log_gain + si_term), with
+    the terms of `log_odds_terms` and `si_log_odds`.
     """
     gamma = np.asarray(gamma, dtype=float)
     if not np.all(gamma > 0.0):
-        raise InvalidConfig("energy thresholds require gamma > 0")
+        raise InvalidConfig("the likelihood ratio requires gamma > 0")
     pseudo_obs = np.asarray(pseudo_obs)
-    energy = _row_norm_sq(pseudo_obs)
     delta, log_gain = log_odds_terms(gamma, tau, pseudo_obs.shape[-1])
-    delta = np.broadcast_to(delta, energy.shape).copy()
-    offset = np.broadcast_to(log_gain + si_term, energy.shape).astype(float)
-    llr = delta * energy - offset
-    return BlockDetection(energy=energy, llr=llr, delta=delta, offset=offset,
-                          activity=np.asarray(activity, dtype=bool))
-
-
-def _energy_threshold(l, offset, delta):
-    """The energy above which a device is declared active at level `l`."""
-    return (l + offset) / delta
+    llr = delta * _row_norm_sq(pseudo_obs) - (log_gain + si_term)
+    return BlockDetection(llr=llr, activity=np.asarray(activity, dtype=bool))
 
 
 def detect_block(det: BlockDetection, l: float,
                  x_hat: np.ndarray | None = None,
                  x_true: np.ndarray | None = None) -> DetectionReport:
-    """Apply the energy test at level `l` to a prepared block: a device is
-    declared active iff its energy strictly exceeds its threshold, so ties
-    resolve inactive."""
-    threshold = _energy_threshold(l, det.offset, det.delta)
-    decisions = det.energy > threshold
+    """Test a prepared block at level `l`: a device is declared active iff
+    its LLR strictly exceeds `l`, so ties resolve inactive."""
+    decisions = det.llr > l
     metrics = compute_metrics(decisions, det.activity, x_hat, x_true)
-    return DetectionReport(threshold=threshold, decisions=decisions,
-                           metrics=metrics)
+    return DetectionReport(decisions=decisions, metrics=metrics)
 
 
 def sweep_block_counts(det: BlockDetection, l_grid: np.ndarray):
     """Error counts of one block over an increasing grid of `l` values.
 
     Returns (false_alarms, missed, num_inactive, num_active) where the
-    first two are arrays over the grid.  The threshold (l + offset)/delta
-    is nondecreasing in l (delta >= 0, and rounding is monotone), so each
-    device is declared active at exactly the first k levels of the grid.
-    Its k is found by binary search, each step evaluating `detect_block`'s
-    test at one level per device; the counts follow from k.
+    first two are arrays over the grid.  At each level the devices not
+    declared active are those whose LLR is at most `l`; a right-sided
+    search in the sorted LLRs of each class counts them.
     """
+    inactive = np.sort(det.llr[~det.activity])
+    active = np.sort(det.llr[det.activity])
     l_grid = np.asarray(l_grid, dtype=float)
-    size = len(l_grid)
-    first_inactive = np.zeros(len(det.energy), dtype=np.intp)
-    for step in (1 << np.arange(size.bit_length()))[::-1]:
-        level = first_inactive + step - 1
-        inside = level < size
-        l = l_grid[np.minimum(level, size - 1)]
-        threshold = _energy_threshold(l, det.offset, det.delta)
-        declared = inside & (det.energy > threshold)
-        first_inactive = np.where(declared, first_inactive + step,
-                                  first_inactive)
-    inactive = ~det.activity
-    # false alarms at level i: inactive devices still declared active
-    # (k > i); misses: active devices no longer declared active (k <= i)
-    fa = np.cumsum(np.bincount(first_inactive[inactive],
-                               minlength=size + 1)[::-1])[::-1][1:]
-    md = np.cumsum(np.bincount(first_inactive[det.activity],
-                               minlength=size + 1))[:size]
-    return fa, md, int(inactive.sum()), int(det.activity.sum())
+    fa = len(inactive) - np.searchsorted(inactive, l_grid, "right")
+    md = np.searchsorted(active, l_grid, "right")
+    return fa, md, len(inactive), len(active)
 
 
 @dataclass(frozen=True)

@@ -23,21 +23,15 @@ import numpy as np
 from . import __version__
 from .amp import VARIANTS, run_trial_variants
 from .denoiser import SideInfo, denoise_rows, log_odds_terms, si_log_odds
-from .detector import (_energy_threshold, _rate_stderr, aggregate_slot_counts,
-                       sweep_block_counts)
+from .detector import _rate_stderr, aggregate_slot_counts, sweep_block_counts
 from .errors import ParseError, SiAmpError, ValidationError
-from .model import ScenarioConfig, path_loss_linear, power_violation
+from .model import ScenarioConfig, path_loss_linear
 from .state_evolution import SeParams, SeTrace, se_fixed_point
 from .streams import seed_sequence, substream
 
 STREAM_PLACEMENT = "placement"
 STREAM_TRIAL = "trial"
 STREAM_SE_TRACE = "se-trace"
-
-# smallest gamma/noise_variance admitted: below about 1e-16 the gain rounds
-# away in tau^2 + gamma, so delta = 1/tau^2 - 1/(tau^2 + gamma) is 0 and the
-# energy threshold 0/0; at 2^-40 delta keeps about 13 significant bits
-MIN_GAIN_TO_NOISE = 2.0 ** -40
 
 # the cell of every physical placement
 CELL_RADIUS_KM = 1.0
@@ -204,7 +198,7 @@ def spec_from_options(options: dict, source: str = "<options>") -> ExperimentSpe
     if violations:
         raise ValidationError(violations)
 
-    placement = converted["placement"]
+    placement, num_devices = converted["placement"], converted["num_devices"]
     if placement == "annulus":
         # only the caller's options count: _DEFAULTS holds noise_variance
         ignored = [f"placement 'annulus' sets {key!r} itself; remove it"
@@ -212,15 +206,19 @@ def spec_from_options(options: dict, source: str = "<options>") -> ExperimentSpe
         if ignored:
             raise ValidationError(ignored)
         noise_variance = 1.0  # gains are normalized to the noise floor
+        # placeholder gains: the device count and the seed are checked
+        # before the gains are built from them
+        gains = np.ones(max(num_devices, 0))
     elif placement == "gamma":
         if "gamma" not in converted:
             raise ValidationError(["placement 'gamma' needs a gamma value"])
         noise_variance = converted["noise_variance"]
+        gains = np.full(max(num_devices, 0), converted["gamma"], dtype=float)
     else:
         raise ParseError(f"{source}: placement must be 'annulus' or 'gamma', "
                          f"got {placement!r}")
 
-    num_devices, seed = converted["num_devices"], converted["rng_seed"]
+    seed = converted["rng_seed"]
     scenario = ScenarioConfig(
         num_devices=num_devices,
         pilot_length=converted["pilot_length"],
@@ -229,28 +227,20 @@ def spec_from_options(options: dict, source: str = "<options>") -> ExperimentSpe
         activity_rate=converted["activity_rate"],
         persistence=converted["persistence"],
         noise_variance=noise_variance,
-        # placeholder gains: the device count and the seed are checked
-        # before the gains are built from them
-        path_losses=np.ones(max(num_devices, 0)),
+        path_losses=gains,
         rng_seed=seed)
     spec = ExperimentSpec(scenario=scenario, num_trials=converted["num_trials"],
                           l_grid=np.array(converted["l_grid"], dtype=float),
                           out_dir=converted["out_dir"],
                           parallelism=converted["parallelism"],
                           se_sample_count=converted["se_sample_count"])
-    spec.validate()
-    if placement == "annulus":
-        gains = annulus_gains(num_devices,
-                              substream(seed, STREAM_PLACEMENT))
-    else:
-        gamma = converted["gamma"]
-        bad = power_violation("gamma", gamma, scenario.power_bound())
-        if not bad and gamma / noise_variance < MIN_GAIN_TO_NOISE:
-            bad = (f"gamma must be at least 2^-40*noise_variance = "
-                   f"{MIN_GAIN_TO_NOISE * noise_variance:.6g}, got {gamma}")
-        if bad:
-            raise ValidationError([bad])
-        gains = np.full(num_devices, gamma, dtype=float)
+    bad = spec.violations()
+    if bad:
+        # a config file sets the gains only as 'gamma', so errors name that
+        raise ValidationError([v.replace("path_losses", "gamma") for v in bad])
+    if placement == "gamma":
+        return spec
+    gains = annulus_gains(num_devices, substream(seed, STREAM_PLACEMENT))
     return replace(spec, scenario=replace(scenario,
                                           path_losses=gains)).validate()
 
@@ -342,7 +332,7 @@ def run_experiment(spec: ExperimentSpec) -> AggregateResult:
     `SiAmpError`.  Any other exception propagates.
     """
     spec.validate()
-    start = time.time()
+    start = time.perf_counter()
     jobs = [(spec, i) for i in range(spec.num_trials)]
     if spec.parallelism > 1:
         with ProcessPoolExecutor(
@@ -369,7 +359,7 @@ def run_experiment(spec: ExperimentSpec) -> AggregateResult:
     metadata = {
         "seed": spec.scenario.rng_seed,
         "version": __version__,
-        "wall_time_s": time.time() - start,
+        "wall_time_s": time.perf_counter() - start,
         "num_trials": spec.num_trials,
         "completed_trials": len(done),
         "failed_trials": len(failures),
@@ -433,6 +423,12 @@ def denoiser_response_curve(gamma: float, tau: float, tau_prev: float,
         rows += [("si", float(prev_mag), float(g), float(o))
                  for g, o in zip(grid, np.abs(si_out[:, 0]))]
     return ["variant", "prev_abs", "input_abs", "output_abs"], rows
+
+
+def _energy_threshold(l, offset, delta):
+    """The energy above which a device is declared active at level `l`:
+    the LLR delta*energy - offset exceeds `l` above it."""
+    return (l + offset) / delta
 
 
 def detector_threshold_curve(gamma: float, tau: float, tau_prev: float,

@@ -20,6 +20,12 @@ STREAM_ACTIVITY = "activity"
 STREAM_CHANNELS = "channels"
 STREAM_NOISE = "noise"
 
+# smallest gain/noise_variance admitted: below about 1e-16 the gain rounds
+# away in tau^2 + gamma, so delta = 1/tau^2 - 1/(tau^2 + gamma) is 0, the
+# LLR loses its data term and the published energy threshold divides by 0;
+# at 2^-40 delta keeps about 13 significant bits
+MIN_GAIN_TO_NOISE = 2.0 ** -40
+
 
 def beta_from(lam: float, alpha: float) -> float:
     """Activation probability of a previously inactive device.
@@ -107,7 +113,8 @@ class ScenarioConfig:
                 beta_from(self.activity_rate, self.persistence)
             except InvalidConfig as exc:
                 out.append(str(exc))
-        out.append(power_violation("noise_variance", self.noise_variance, bound))
+        noise_bad = power_violation("noise_variance", self.noise_variance, bound)
+        out.append(noise_bad)
         if self.rng_seed < 0:
             out.append(f"rng_seed must be nonnegative, got {self.rng_seed}")
         gammas = np.asarray(self.path_losses, dtype=float)
@@ -117,7 +124,13 @@ class ScenarioConfig:
                 f"path_losses must have shape ({self.num_devices},), got {gammas.shape}"
             )
         elif gammas.size:
-            out.append(power_violation("path_losses", gammas, bound))
+            gain_bad = power_violation("path_losses", gammas, bound)
+            floor = MIN_GAIN_TO_NOISE * self.noise_variance
+            # the floor is a ratio of two powers, so both must be valid first
+            if not (gain_bad or noise_bad) and gammas.min() < floor:
+                gain_bad = (f"path_losses must be at least 2^-40*noise_variance"
+                            f" = {floor:.6g}, got {gammas.min()}")
+            out.append(gain_bad)
         return [v for v in out if v is not None]
 
     def validate(self) -> "ScenarioConfig":

@@ -238,7 +238,10 @@ def test_a6_reduction_identities():
 
         level = float(rng.uniform(-5, 5))
         det_report = detect_block(detect_one(x_t, si, params), level)
-        t_ours = det_report.threshold
+        (_, rows), _, _ = detector_threshold_curve(
+            params.gamma, params.tau, si.tau_prev, params.alpha, params.beta,
+            1, level, [np.linalg.norm(si.pseudo_obs)])
+        t_ours = rows[0][1]
         t_ind = (level + 1 * np.log((t2 + g) / t2)) / delta
         energy = float(norm_sq)
         same = (_ulp_equal(ours, independent)

@@ -424,7 +424,7 @@ class TestRunTrial:
                 np.testing.assert_array_equal(a.tau_trace, b.tau_trace)
             for a, b in zip(trial.detections, alone.detections):
                 np.testing.assert_array_equal(a.llr, b.llr)
-                np.testing.assert_array_equal(a.energy, b.energy)
+                np.testing.assert_array_equal(a.activity, b.activity)
             for a, b in zip(trial.reports, alone.reports):
                 np.testing.assert_array_equal(a.decisions, b.decisions)
                 np.testing.assert_array_equal(a.metrics.nmse, b.metrics.nmse)
@@ -485,7 +485,7 @@ class TestRunTrial:
         si, nosi = run_trial_variants(cfg)
         assert si.blocks[0] is nosi.blocks[0]
         a, b = si.detections[0], nosi.detections[0]
-        for name in ("energy", "llr", "delta", "offset"):
+        for name in ("llr", "activity"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
         assert (np.float64(si.reports[0].metrics.nmse).tobytes()
                 == np.float64(nosi.reports[0].metrics.nmse).tobytes())

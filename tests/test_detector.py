@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,11 @@ from hypothesis import strategies as st
 
 from siamp import (BlockDetection, DenoiserParams, InvalidConfig, SideInfo,
                    aggregate_slot_counts, beta_from, block_detection,
-                   compute_metrics, detect_block, draw_case_pair,
-                   llr_appendix_oracle, si_log_odds, sweep_block_counts)
+                   compute_metrics, detect_block, detector, draw_case_pair,
+                   llr_appendix_oracle, run_trial_variants, si_log_odds,
+                   spec_from_options, sweep_block_counts)
+from siamp.denoiser import _row_norm_sq, log_odds_terms
+from siamp.experiment import detector_threshold_curve, trial_seed
 
 FIG_FAMILY = dict(gamma=1e-8, tau=2e-6, lam=0.1, alpha=0.91, beta=0.01)
 
@@ -32,8 +36,14 @@ def llr_one(x, si, params):
 
 
 def threshold(l, si, params):
-    return float(detect_block(detect_one(np.zeros(params.num_antennas), si,
-                                         params), l).threshold[0])
+    """The energy threshold at level `l` that `detector_threshold_curve`
+    publishes, with side information `si` or without (None)."""
+    prev = [0.0 if si is None else np.linalg.norm(si.pseudo_obs)]
+    tau_prev = params.tau if si is None else si.tau_prev
+    (_, rows), _, _ = detector_threshold_curve(
+        params.gamma, params.tau, tau_prev, params.alpha, params.beta,
+        params.num_antennas, l, prev)
+    return rows[0][1 if si is not None else 2]
 
 
 class TestLlr:
@@ -82,7 +92,7 @@ class TestThreshold:
         si = SideInfo(pseudo_obs=np.array([5.0 + 1j]), tau_prev=1.0)
         # gamma=0 makes delta vanish; rule degenerates entirely
         with pytest.raises(InvalidConfig):
-            threshold(0.0, si, params)
+            detect_one(si.pseudo_obs, si, params)
 
     def test_mu_equal_one_drops_side_term(self):
         # tau_prev >> gamma: previous block carries almost no information
@@ -111,15 +121,13 @@ class TestThreshold:
         assert values[-1] == pytest.approx(lower, rel=1e-9)
 
     def test_decide_rules(self):
-        # thresholds (l + offset)/delta at l = 0 are 1, -1 and 1
-        det = BlockDetection(energy=np.array([0.0, 0.0, 1.0]),
-                             llr=np.zeros(3), delta=np.ones(3),
-                             offset=np.array([1.0, -1.0, 1.0]),
-                             activity=np.zeros(3, dtype=bool))
+        det = BlockDetection(llr=np.array([-1.0, 1.0, 0.0, -np.inf, np.inf]),
+                             activity=np.zeros(5, dtype=bool))
         decisions = detect_block(det, 0.0).decisions
         assert not decisions[0]
-        assert decisions[1]  # negative threshold forces active
+        assert decisions[1]
         assert not decisions[2]  # ties resolve inactive
+        assert not decisions[3] and decisions[4]
 
     def test_energy_rule_equals_llr_rule(self):
         rng = np.random.default_rng(3)
@@ -133,13 +141,13 @@ class TestThreshold:
                                     tau=tau, lam=lam, alpha=alpha, beta=beta,
                                     num_antennas=m)
             x, si = draw_case_pair(rng, params, tau_prev=tau * rng.uniform(0.5, 2))
-            det = detect_one(x, si, params)
-            llr = float(det.llr[0])
+            llr = llr_one(x, si, params)
             l = float(rng.uniform(-10, 10))
             if abs(llr - l) < 1e-9:
                 continue
             checked += 1
-            assert bool(detect_block(det, l).decisions[0]) == (llr > l)
+            energy = np.sum(np.abs(x) ** 2)
+            assert (energy > threshold(l, si, params)) == (llr > l)
         assert checked > 1500
 
 
@@ -200,8 +208,7 @@ def pool_blocks(dets, grid):
 
 def sweep_matrix_oracle(det, l_grid):
     """Sweep counts from the full (levels, devices) decision matrix."""
-    thresholds = (l_grid[:, None] + det.offset[None, :]) / det.delta[None, :]
-    decisions = det.energy[None, :] > thresholds
+    decisions = det.llr[None, :] > l_grid[:, None]
     inactive = ~det.activity
     fa = np.sum(decisions & inactive[None, :], axis=1)
     md = np.sum(~decisions & det.activity[None, :], axis=1)
@@ -231,14 +238,14 @@ class TestSweep:
 
     def test_infinite_offsets(self):
         # at persistence 0 and 1 the side-information term tends to +inf
-        # or -inf: such a device is declared active at no level, or at
-        # every level; then real offsets at both persistences
+        # or -inf, and the LLR to -inf or +inf: such a device is declared
+        # active at no level, or at every level; then real LLRs at both
+        # persistences
         det = toy_block(np.random.default_rng(11), n=300)
-        offset = det.offset.copy()
-        offset[::3] = np.inf
-        offset[1::3] = -np.inf
-        det = BlockDetection(energy=det.energy, llr=det.llr, delta=det.delta,
-                             offset=offset, activity=det.activity)
+        llr = det.llr.copy()
+        llr[::3] = -np.inf
+        llr[1::3] = np.inf
+        det = BlockDetection(llr=llr, activity=det.activity)
         grid = np.linspace(-40.0, 40.0, 161)
         assert_sweep_matches_oracle(det, grid)
         for alpha in (0.0, 1.0):
@@ -252,23 +259,20 @@ class TestSweep:
                                 si_term), grid)
 
     def test_ties_resolve_inactive(self):
-        # energy exactly at a device's threshold on a grid level
+        # an LLR exactly on a grid level
         det = toy_block(np.random.default_rng(13), n=200)
         grid = np.linspace(-10.0, 10.0, 41)
-        energy = det.energy.copy()
+        llr = det.llr.copy()
         levels = np.random.default_rng(14).integers(0, len(grid), 200)
-        energy[::2] = ((grid[levels] + det.offset) / det.delta)[::2]
-        det = BlockDetection(energy=energy, llr=det.llr, delta=det.delta,
-                             offset=det.offset, activity=det.activity)
+        llr[::2] = grid[levels][::2]
+        det = BlockDetection(llr=llr, activity=det.activity)
         assert_sweep_matches_oracle(det, grid)
         assert not detect_block(det, grid[levels[0]]).decisions[0]
 
     @pytest.mark.parametrize("active", [True, False])
     def test_all_active_or_all_inactive_block(self, active):
         det = toy_block(np.random.default_rng(15), n=120)
-        det = BlockDetection(energy=det.energy, llr=det.llr, delta=det.delta,
-                             offset=det.offset,
-                             activity=np.full(120, active))
+        det = BlockDetection(llr=det.llr, activity=np.full(120, active))
         grid = np.linspace(-40.0, 40.0, 161)
         assert_sweep_matches_oracle(det, grid)
         fa, md, n_inact, n_act = sweep_block_counts(det, grid)
@@ -294,7 +298,7 @@ class TestSweep:
         fa, md, n_inact, n_act = sweep_block_counts(det, np.array([1.5]))
         assert report.metrics.false_alarms == fa[0]
         assert report.metrics.missed == md[0]
-        assert report.decisions[3] == (det.energy[3] > report.threshold[3])
+        np.testing.assert_array_equal(report.decisions, det.llr > 1.5)
 
     def test_roc_curve_monotone_after_aggregation(self):
         rng = np.random.default_rng(8)
@@ -320,6 +324,56 @@ class TestSweep:
         assert se > 0.0
         with pytest.raises(InvalidConfig):
             curve.l_at(2.0)
+
+
+def bisection_sweep(energy, delta, offset, activity, l_grid):
+    """Sweep counts by the energy test energy > (l + offset)/delta, as the
+    detector ran it before it tested the LLR: each device's first level
+    not declared active by binary search, then `bincount`/`cumsum`."""
+    size = len(l_grid)
+    first_inactive = np.zeros(len(energy), dtype=np.intp)
+    for step in (1 << np.arange(size.bit_length()))[::-1]:
+        level = first_inactive + step - 1
+        inside = level < size
+        l = l_grid[np.minimum(level, size - 1)]
+        declared = inside & (energy > (l + offset) / delta)
+        first_inactive = np.where(declared, first_inactive + step,
+                                  first_inactive)
+    inactive = ~activity
+    fa = np.cumsum(np.bincount(first_inactive[inactive],
+                               minlength=size + 1)[::-1])[::-1][1:]
+    md = np.cumsum(np.bincount(first_inactive[activity],
+                               minlength=size + 1))[:size]
+    return fa, md, int(inactive.sum()), int(activity.sum())
+
+
+@pytest.mark.parametrize("preset", ["fig3-desk", "fig4-desk"])
+def test_sweep_matches_energy_bisection_at_desk_scale(preset, monkeypatch):
+    # every detection of three desk-scale trials, both variants: the LLR
+    # sweep counts equal those of the energy test on the same block
+    spec = spec_from_options({"preset": preset})
+    calls = []  # (block_detection arguments, its result)
+    real_block_detection = detector.block_detection
+
+    def recorded(obs, tau, gamma, activity, si_term=0.0):
+        det = real_block_detection(obs, tau, gamma, activity, si_term)
+        calls.append(((obs, tau, gamma, activity, si_term), det))
+        return det
+
+    monkeypatch.setattr(detector, "block_detection", recorded)
+    for index in range(3):
+        run_trial_variants(replace(spec.scenario, rng_seed=trial_seed(
+            spec.scenario.rng_seed, index)))
+    assert len(calls) == 3 * 2 * spec.scenario.num_blocks
+    for (obs, tau, gamma, activity, si_term), det in calls:
+        energy = _row_norm_sq(obs)
+        delta, log_gain = log_odds_terms(gamma, tau, obs.shape[-1])
+        delta = np.broadcast_to(delta, energy.shape)
+        offset = np.broadcast_to(log_gain + si_term, energy.shape).astype(float)
+        want = bisection_sweep(energy, delta, offset, activity, spec.l_grid)
+        for a, b in zip(sweep_block_counts(det, spec.l_grid), want):
+            np.testing.assert_array_equal(a, b)
+            assert np.asarray(a).dtype == np.asarray(b).dtype
 
 
 def loop_reference(slot_counts, n_l):

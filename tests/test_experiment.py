@@ -381,14 +381,43 @@ def config_options(draw):
             "l_grid": "-10:10:21"}
 
 
-@settings(max_examples=600, deadline=None)
-@given(config_options())
-def test_admitted_config_runs_cleanly_or_is_rejected(options):
-    # every config either writes its outputs with no warning or stops with
-    # a library error
+def runs_cleanly_or_is_rejected(build_spec):
+    # the config either writes its outputs with no warning or stops with a
+    # library error
     with warnings.catch_warnings(), tempfile.TemporaryDirectory() as out:
         warnings.simplefilter("error")
         try:
-            emit_csv(run_experiment(spec_from_options(options)), out)
+            emit_csv(run_experiment(build_spec()), out)
         except SiAmpError:
             pass
+
+
+@settings(max_examples=600, deadline=None)
+@given(config_options())
+def test_admitted_config_runs_cleanly_or_is_rejected(options):
+    runs_cleanly_or_is_rejected(lambda: spec_from_options(options))
+
+
+@settings(max_examples=400, deadline=None)
+@given(config_options(), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+def test_config_built_in_code_runs_cleanly_or_is_rejected(options, spread,
+                                                          gain_seed):
+    # the same ranges, with no config file in between: per-device gains
+    # log-uniform over up to 25 decades below the drawn gamma, and a
+    # noise variance that may sit above the gain floor
+    top = np.log10(options["gamma"])
+    exponents = np.random.default_rng(gain_seed).uniform(
+        top - 25.0 * spread, top, options["num_devices"])
+    scenario = model.ScenarioConfig(
+        num_devices=options["num_devices"],
+        pilot_length=options["pilot_length"],
+        num_antennas=options["num_antennas"],
+        num_blocks=options["num_blocks"],
+        activity_rate=options["activity_rate"],
+        persistence=options["persistence"],
+        noise_variance=options["noise_variance"],
+        path_losses=10.0 ** exponents, rng_seed=options["rng_seed"])
+    runs_cleanly_or_is_rejected(lambda: experiment.ExperimentSpec(
+        scenario=scenario, num_trials=options["num_trials"],
+        l_grid=np.linspace(-10.0, 10.0, 21), out_dir=None, parallelism=1,
+        se_sample_count=options["se_sample_count"]))

@@ -192,6 +192,27 @@ class TestScenario:
         with pytest.raises(InvalidConfig):
             bad.validate()
 
+    def test_gain_below_noise_floor_is_rejected(self):
+        # a config built in code is held to the floor a config file is:
+        # at gain/noise_variance = 1e-20 the gain rounds away in tau^2 +
+        # gamma; the floor itself is admitted, the next double below not
+        from siamp import run_trial_variants
+        from siamp.model import MIN_GAIN_TO_NOISE
+        bad = desk_config(num_devices=60, path_losses=np.ones(60),
+                          noise_variance=1e20)
+        assert bad.violations() == [
+            "path_losses must be at least 2^-40*noise_variance = 9.09495e+07, "
+            "got 1.0"]
+        with pytest.raises(InvalidConfig):
+            bad.validate()
+        with pytest.raises(InvalidConfig):
+            run_trial_variants(bad)
+        floor = MIN_GAIN_TO_NOISE * 0.1
+        assert desk_config(path_losses=np.full(40, floor)).violations() == []
+        below = np.full(40, 1.0)
+        below[7] = np.nextafter(floor, 0.0)
+        assert len(desk_config(path_losses=below).violations()) == 1
+
     def test_trace_csv_roundtrip(self, tmp_path):
         import csv
         from siamp import trace_table, write_tables
