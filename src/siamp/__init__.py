@@ -17,7 +17,7 @@ from .denoiser import (DenoiserParams, SideInfo, case_log_likelihoods,
 from .detector import (BlockDetection, DetectionMetrics, DetectionReport,
                        RocCurve, aggregate_slot_counts, block_detection,
                        compute_metrics, detect_block, llr_appendix_oracle,
-                       sweep_block_counts)
+                       rate_stderr, sweep_block_counts)
 from .errors import (DimensionMismatch, InvalidConfig, NonFiniteState,
                      ParseError, SiAmpError, ValidationError)
 from .experiment import (AggregateResult, ExperimentSpec, annulus_gains,

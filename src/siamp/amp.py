@@ -21,9 +21,12 @@ from .denoiser import SideInfo, denoise_rows, si_log_odds
 from .errors import DimensionMismatch, NonFiniteState
 
 # stopping rule of every block: converged once the relative estimate
-# change drops below CONVERGENCE_TOL, stopped after MAX_ITERS iterations
+# change drops below CONVERGENCE_TOL, stopped after MAX_ITERS iterations.
+# Past 1e-3 the estimate moves below what the LLR detector resolves: on
+# the desk presets, pooled P_MD stays within 0.1 standard errors of a
+# 1e-6 run at half the iterations, while 1e-2 moves it by 0.36.
 MAX_ITERS = 50
-CONVERGENCE_TOL = 1e-6
+CONVERGENCE_TOL = 1e-3
 
 # guards the relative-change convergence test against a zero baseline
 _NORM_FLOOR = 1e-30

@@ -72,6 +72,11 @@ def _cmd_simulate(args) -> int:
     _print_paths(emit_csv(result, spec.out_dir or "."))
     print(f"completed {result.metadata['completed_trials']} trials "
           f"in {result.metadata['wall_time_s']:.1f}s")
+    stopped = ", ".join(f"{variant} {np.sum(~data['converged'])}/"
+                        f"{data['converged'].size}"
+                        for variant, data in result.per_trial.items())
+    print(f"block runs stopped at {result.metadata['amp_max_iters']} "
+          f"iterations: {stopped}")
     return 0
 
 

@@ -7,6 +7,7 @@ previous block.  A single scalar `l` is shared by all devices and blocks;
 sweeping it traces the false-alarm / missed-detection tradeoff.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ __all__ = [
     "sweep_block_counts",
     "aggregate_slot_counts",
     "RocCurve",
+    "rate_stderr",
 ]
 
 
@@ -195,8 +197,8 @@ def aggregate_slot_counts(fa: np.ndarray, md: np.ndarray,
     l_grid = np.asarray(l_grid, dtype=float)
     return RocCurve(l_grid=l_grid, p_fa=_pooled_rate(fa, n_inactive),
                     p_md=_pooled_rate(md, n_active),
-                    se_p_fa=_rate_stderr(_per_trial_rates(fa, n_inactive)),
-                    se_p_md=_rate_stderr(_per_trial_rates(md, n_active)),
+                    se_p_fa=rate_stderr(_per_trial_rates(fa, n_inactive)),
+                    se_p_md=rate_stderr(_per_trial_rates(md, n_active)),
                     num_trials=len(fa))
 
 
@@ -213,9 +215,8 @@ def _per_trial_rates(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
                      where=totals > 0)
 
 
-def _rate_stderr(per_trial_rates: np.ndarray) -> np.ndarray:
+def rate_stderr(per_trial_rates: np.ndarray) -> np.ndarray:
     """Standard error of the mean rate from per-trial variation."""
-    import warnings
     valid = np.sum(~np.isnan(per_trial_rates), axis=0)
     with warnings.catch_warnings(), np.errstate(invalid="ignore",
                                                 divide="ignore"):

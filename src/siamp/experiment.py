@@ -20,10 +20,10 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import __version__
+from . import __version__, amp
 from .amp import VARIANTS, run_trial_variants
 from .denoiser import SideInfo, denoise_rows, log_odds_terms, si_log_odds
-from .detector import _rate_stderr, aggregate_slot_counts, sweep_block_counts
+from .detector import aggregate_slot_counts, rate_stderr, sweep_block_counts
 from .errors import ParseError, SiAmpError, ValidationError
 from .model import ScenarioConfig, path_loss_linear
 from .state_evolution import SeParams, SeTrace, se_fixed_point
@@ -280,6 +280,8 @@ def _run_trial_counts(args):
             "fa": fa, "md": md, "n_inactive": n_inactive, "n_active": n_active,
             "nmse": np.array([report.metrics.nmse for report in trial.reports]),
             "tau_final": np.array([block.tau_final for block in trial.blocks]),
+            "iters_used": np.array([block.iters_used for block in trial.blocks]),
+            "converged": np.array([block.converged for block in trial.blocks]),
         }
     return index, out, None
 
@@ -291,8 +293,10 @@ class AggregateResult:
     `per_trial[variant]` keeps the per-trial arrays every table is pooled
     from: sweep counts `fa`/`md` of shape (trials, slots, len(l_grid)),
     and `n_inactive`, `n_active`, `nmse` and `tau_final` of shape
-    (trials, slots).  Variants share scenario substreams, so paired
-    per-trial comparisons across variants or slots are valid.
+    (trials, slots); also each block's `iters_used` and `converged`, of
+    the same shape, from the AMP stopping rule.  Variants share scenario
+    substreams, so paired per-trial comparisons across variants or slots
+    are valid.
     """
 
     spec: ExperimentSpec
@@ -365,6 +369,10 @@ def run_experiment(spec: ExperimentSpec) -> AggregateResult:
         "failed_trials": len(failures),
         "parallelism": spec.parallelism,
         "variants": list(VARIANTS),
+        # the stopping rule every block's estimate, and so every CSV built
+        # from it, depends on
+        "amp_max_iters": amp.MAX_ITERS,
+        "amp_convergence_tol": amp.CONVERGENCE_TOL,
     }
     return AggregateResult(spec=spec, curves=curves, se_traces=se_traces,
                            per_trial=per_trial, metadata=metadata,
@@ -486,7 +494,7 @@ def nmse_table(per_trial: dict):
             # a slot with no valid trial has a NaN mean
             warnings.simplefilter("ignore", RuntimeWarning)
             for key in ("nmse", "tau_final"):
-                stats += [np.nanmean(data[key], axis=0), _rate_stderr(data[key])]
+                stats += [np.nanmean(data[key], axis=0), rate_stderr(data[key])]
         rows += [(j + 1, variant, *(column[j] for column in stats))
                  for j in range(len(stats[0]))]
     return ["slot_j", "variant", "nmse", "se_nmse", "tau_final",

@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -41,6 +42,18 @@ def test_simulate_writes_outputs(tiny_config, tmp_path, capsys):
         assert (out / name).exists()
     stdout = capsys.readouterr().out
     assert "completed 3 trials" in stdout
+    assert re.search(r"^block runs stopped at 50 iterations: si \d/6, "
+                     r"nosi \d/6$", stdout, re.MULTILINE)
+
+
+def test_simulate_counts_blocks_stopped_at_max_iters(tiny_config, tmp_path,
+                                                     capsys, monkeypatch):
+    # no block's estimate settles within 2 iterations from x = 0
+    monkeypatch.setattr(siamp.amp, "MAX_ITERS", 2)
+    assert main(["simulate", str(tiny_config), "--out-dir",
+                 str(tmp_path / "out")]) == 0
+    stdout = capsys.readouterr().out
+    assert "block runs stopped at 2 iterations: si 6/6, nosi 6/6" in stdout
 
 
 @pytest.mark.parametrize("persistence", ["0.0", "1.0"])

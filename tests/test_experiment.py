@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import tempfile
 import warnings
@@ -224,9 +225,24 @@ class TestRunExperiment:
         first = out[spec.variants[0]]
         for variant in spec.variants[1:]:
             for key in ("fa", "md", "n_inactive", "n_active", "nmse",
-                        "tau_final"):
+                        "tau_final", "iters_used", "converged"):
                 np.testing.assert_array_equal(out[variant][key][0],
                                               first[key][0])
+
+    def test_per_trial_keeps_stopping_rule(self):
+        spec = spec_from_options(desk_options(num_blocks="3", num_trials="3"))
+        result = run_experiment(spec)
+        for k in range(spec.num_trials):
+            config = replace(spec.scenario, rng_seed=trial_seed(
+                spec.scenario.rng_seed, k))
+            for trial in amp.run_trial_variants(config):
+                data = result.per_trial[trial.variant]
+                assert data["iters_used"].shape == (3, 3)
+                assert data["converged"].dtype == bool
+                assert data["iters_used"][k].tolist() == [
+                    block.iters_used for block in trial.blocks]
+                assert data["converged"][k].tolist() == [
+                    block.converged for block in trial.blocks]
 
     def test_nosi_fixed_point_solved_once(self, monkeypatch):
         solved = []
@@ -320,7 +336,11 @@ class TestRunExperiment:
         expected = len(spec.variants) * spec.scenario.num_blocks * len(spec.l_grid)
         assert len(rows) == expected
         assert os.path.exists(paths["se_trace"])
-        assert os.path.exists(paths["metadata"])
+        with open(paths["metadata"]) as fh:
+            metadata = json.load(fh)
+        # the stopping rule that produced the estimates the CSVs pool
+        assert metadata["amp_max_iters"] == amp.MAX_ITERS
+        assert metadata["amp_convergence_tol"] == amp.CONVERGENCE_TOL
 
 
 class TestCurves:
@@ -357,6 +377,41 @@ class TestCurves:
         grid = default_l_grid()
         assert grid.size > 0
         assert np.all(np.diff(grid) > 0)
+
+
+def pmd_at_targets(curve, targets):
+    """Pooled P_MD and its standard error at each target P_FA, linear in
+    P_FA between the sweep points."""
+    order = np.argsort(curve.p_fa, kind="stable")
+    p_fa = curve.p_fa[order]
+    return (np.interp(targets, p_fa, curve.p_md[order]),
+            np.interp(targets, p_fa, curve.se_p_md[order]))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("preset", ["fig3-desk", "fig4-desk"])
+def test_stopping_rule_keeps_detection_quality(preset, monkeypatch):
+    # the shipped convergence tolerance against a 1e-6 run of the same
+    # trials: detection and NMSE must not see the difference, and the
+    # iterations it saves must be there
+    spec = spec_from_options({"preset": preset, "rng_seed": 3,
+                              "num_trials": 24})
+    shipped = run_experiment(spec)
+    monkeypatch.setattr(amp, "CONVERGENCE_TOL", 1e-6)
+    tight = run_experiment(spec)
+    targets = [0.01, 0.05, 0.1]
+    for variant in spec.variants:
+        for ours, ref in zip(shipped.curves[variant], tight.curves[variant]):
+            p_md, _ = pmd_at_targets(ours, targets)
+            p_md_ref, se_ref = pmd_at_targets(ref, targets)
+            assert np.all(np.abs(p_md - p_md_ref) <= 0.25 * se_ref)
+        nmse = np.nanmean(shipped.per_trial[variant]["nmse"], axis=0)
+        nmse_ref = np.nanmean(tight.per_trial[variant]["nmse"], axis=0)
+        np.testing.assert_allclose(nmse, nmse_ref, rtol=0.01)
+    iters = sum(data["iters_used"].sum() for data in shipped.per_trial.values())
+    iters_ref = sum(data["iters_used"].sum()
+                    for data in tight.per_trial.values())
+    assert iters <= 0.6 * iters_ref
 
 
 @st.composite
