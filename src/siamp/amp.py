@@ -59,9 +59,9 @@ class AmpState:
 
     x: np.ndarray  # (N, K*M) complex
     residual: np.ndarray  # (L, K*M) complex
-    tau: np.ndarray  # (K,) noise level per block (a float for K = 1)
+    tau: np.ndarray  # (K,) noise level per block
     t: int
-    residual_norm: np.ndarray | None = None  # (K,) Frobenius norm per block
+    residual_norm: np.ndarray  # (K,) Frobenius norm per block
 
 
 @dataclass(frozen=True)
@@ -102,10 +102,6 @@ def pseudo_observations(x: np.ndarray, residual: np.ndarray,
     return x + np.conj(pilots.T @ np.conj(residual))
 
 
-def _tau_floor(config: model.ScenarioConfig) -> float:
-    return TAU_FLOOR_FACTOR * math.sqrt(float(np.max(config.path_losses)))
-
-
 def _block_norms(a: np.ndarray, m: int) -> np.ndarray:
     """(K,) Frobenius norms of the M-column blocks of a wide array, with
     `np.linalg.norm`'s arithmetic: the square root of re.re + im.im, each a
@@ -124,32 +120,25 @@ def _columns(blocks: np.ndarray, m: int) -> np.ndarray:
 
 def amp_iterate(state: AmpState, y: np.ndarray, pilots: np.ndarray,
                 si_term, config: model.ScenarioConfig,
-                denoiser_fn=None, *, tau_floor=None) -> AmpState:
+                tau_floor: float) -> AmpState:
     """One estimator update followed by the corrected residual update, for
     the K blocks of a wide state at once.
 
     `si_term` is the side-information log-odds term shared by the blocks
-    (0.0 for none).  `denoiser_fn`, when given, replaces the MMSE denoiser
-    (test hook); it maps the (K, N, M) pseudo-observation rows to
-    (estimates, per-device derivative averages (K, N), or (N,) for K = 1).
-    `tau_floor` defaults to the config's.
+    (0.0 for none); `tau_floor` is the lowest noise level tau may take.
     """
     n, l = config.num_devices, config.pilot_length
-    tau = np.atleast_1d(state.tau)
-    k = tau.size
+    k = state.tau.size
     m = state.x.shape[1] // k
     x_tilde = pseudo_observations(state.x, state.residual, pilots)
     # block-major rows, so every per-device operation runs along the devices
     rows = (x_tilde[None] if k == 1 else
             np.ascontiguousarray(x_tilde.reshape(n, k, m).transpose(1, 0, 2)))
-    if denoiser_fn is not None:
-        x_rows, deriv = denoiser_fn(rows)
-    else:
-        # a lone block's tau goes in as a scalar: broadcasting a (1, 1)
-        # array costs about a microsecond in each denoiser operation
-        x_rows, deriv = denoise_rows(rows, config.path_losses,
-                                     tau[:, None] if k > 1 else tau[0],
-                                     config.activity_rate, si_term)
+    # a lone block's tau goes in as a scalar: broadcasting a (1, 1) array
+    # costs about a microsecond in each denoiser operation
+    x_rows, deriv = denoise_rows(rows, config.path_losses,
+                                 state.tau[:, None] if k > 1 else state.tau[0],
+                                 config.activity_rate, si_term)
     # a view of the denoiser's output for one block
     x_next = x_rows.reshape(k, n, m).transpose(1, 0, 2).reshape(n, k * m)
     if not np.isfinite(x_next).all():
@@ -171,8 +160,6 @@ def amp_iterate(state: AmpState, y: np.ndarray, pilots: np.ndarray,
     if not np.isfinite(residual).all():
         raise NonFiniteState(f"non-finite residual at t={state.t + 1}")
     norms = _block_norms(residual, m)
-    if tau_floor is None:
-        tau_floor = _tau_floor(config)
     tau = np.maximum(norms / math.sqrt(l * m), tau_floor)
     return AmpState(x=x_next, residual=residual, tau=tau, t=state.t + 1,
                     residual_norm=norms)
@@ -190,7 +177,7 @@ def run_blocks(received, pilots: np.ndarray, si_term,
     block of `received`, in order.
     """
     n, l, m = config.num_devices, config.pilot_length, config.num_antennas
-    tau_floor = _tau_floor(config)
+    tau_floor = TAU_FLOOR_FACTOR * math.sqrt(float(np.max(config.path_losses)))
     y = np.concatenate(received, axis=1)
     k = len(received)
     norms = _block_norms(y, m)
@@ -204,8 +191,7 @@ def run_blocks(received, pilots: np.ndarray, si_term,
     active = list(range(k))
     x_norms = np.zeros(k)  # norms of the current estimates
     while True:
-        new = amp_iterate(state, y, pilots, si_term, config,
-                          tau_floor=tau_floor)
+        new = amp_iterate(state, y, pilots, si_term, config, tau_floor)
         new_x_norms = _block_norms(new.x, m)
         change = (_block_norms(new.x - state.x, m)
                   / np.maximum(x_norms, _NORM_FLOOR))
@@ -284,7 +270,7 @@ def _score(config: model.ScenarioConfig,
                        reports=reports)
 
 
-def run_trial(config: model.ScenarioConfig, variant: str = "si", *,
+def run_trial(config: model.ScenarioConfig, variant: str, *,
               scenario=None, first_block=None) -> TrialResult:
     """Generate a scenario, estimate its blocks, then detect and score them.
 

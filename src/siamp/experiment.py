@@ -25,7 +25,8 @@ from .amp import VARIANTS, run_trial_variants
 from .denoiser import SideInfo, denoise_rows, log_odds_terms, si_log_odds
 from .detector import aggregate_slot_counts, rate_stderr, sweep_block_counts
 from .errors import ParseError, SiAmpError, ValidationError
-from .model import ScenarioConfig, path_loss_linear
+from .model import (ScenarioConfig, count_violation, is_integer,
+                    path_loss_linear)
 from .state_evolution import SeParams, SeTrace, se_fixed_point
 from .streams import seed_sequence, substream
 
@@ -76,19 +77,19 @@ class ExperimentSpec:
 
     def violations(self) -> list[str]:
         out = list(self.scenario.violations())
-        if self.num_trials < 1:
-            out.append("num_trials must be >= 1")
+        out.append(count_violation("num_trials", self.num_trials, 1,
+                                   "num_trials must be >= 1"))
         grid = np.atleast_1d(self.l_grid)
         if len(grid) == 0:
             out.append("l_grid must be nonempty")
         elif not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
             # per-trial rates are interpolated in l, which needs this order
             out.append("l_grid must be finite and strictly increasing")
-        if self.parallelism < 1:
-            out.append("parallelism must be >= 1")
-        if self.se_sample_count < 2:
-            out.append("se_sample_count must be >= 2")
-        return out
+        out.append(count_violation("parallelism", self.parallelism, 1,
+                                   "parallelism must be >= 1"))
+        out.append(count_violation("se_sample_count", self.se_sample_count, 2,
+                                   "se_sample_count must be >= 2"))
+        return [v for v in out if v is not None]
 
     def validate(self) -> "ExperimentSpec":
         bad = self.violations()
@@ -199,6 +200,8 @@ def spec_from_options(options: dict, source: str = "<options>") -> ExperimentSpe
         raise ValidationError(violations)
 
     placement, num_devices = converted["placement"], converted["num_devices"]
+    # a device count that cannot size the gains is left to validation
+    size = max(num_devices, 0) if is_integer(num_devices) else 0
     if placement == "annulus":
         # only the caller's options count: _DEFAULTS holds noise_variance
         ignored = [f"placement 'annulus' sets {key!r} itself; remove it"
@@ -208,12 +211,12 @@ def spec_from_options(options: dict, source: str = "<options>") -> ExperimentSpe
         noise_variance = 1.0  # gains are normalized to the noise floor
         # placeholder gains: the device count and the seed are checked
         # before the gains are built from them
-        gains = np.ones(max(num_devices, 0))
+        gains = np.ones(size)
     elif placement == "gamma":
         if "gamma" not in converted:
             raise ValidationError(["placement 'gamma' needs a gamma value"])
         noise_variance = converted["noise_variance"]
-        gains = np.full(max(num_devices, 0), converted["gamma"], dtype=float)
+        gains = np.full(size, converted["gamma"], dtype=float)
     else:
         raise ParseError(f"{source}: placement must be 'annulus' or 'gamma', "
                          f"got {placement!r}")

@@ -60,6 +60,19 @@ def power_violation(name: str, values, bound: float) -> str | None:
     return None
 
 
+def is_integer(value) -> bool:
+    """A Python or numpy integer; not a bool, nor a float of integral value."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def count_violation(name: str, value, least: int, below: str) -> str | None:
+    """Why a count or seed is not an integer of at least `least`, or None;
+    `below` is the message for a smaller integer."""
+    if not is_integer(value):
+        return f"{name} must be an integer, got {value!r}"
+    return below if value < least else None
+
+
 def path_loss_linear(distance_km: float) -> float:
     """Linear power gain of the -128.1 - 36.7*log10(d_km) dB path loss law."""
     if not distance_km > 0.0:
@@ -98,12 +111,13 @@ class ScenarioConfig:
 
     def violations(self) -> list[str]:
         """All invariant violations (empty list when valid)."""
-        bad_counts = [name for name in ("num_devices", "pilot_length",
-                                        "num_antennas", "num_blocks")
-                      if getattr(self, name) < 1]
-        out = [f"{name} must be a positive count" for name in bad_counts]
+        count_bad = {name: count_violation(name, getattr(self, name), 1,
+                                           f"{name} must be a positive count")
+                     for name in ("num_devices", "pilot_length",
+                                  "num_antennas", "num_blocks")}
+        out = list(count_bad.values())
         # with a bad count the powers are only checked for sign and finiteness
-        bound = np.inf if bad_counts else self.power_bound()
+        bound = np.inf if any(out) else self.power_bound()
         if not 0.0 < self.activity_rate < 1.0:
             out.append(f"activity_rate must be in (0,1), got {self.activity_rate}")
         if not 0.0 <= self.persistence <= 1.0:
@@ -115,11 +129,12 @@ class ScenarioConfig:
                 out.append(str(exc))
         noise_bad = power_violation("noise_variance", self.noise_variance, bound)
         out.append(noise_bad)
-        if self.rng_seed < 0:
-            out.append(f"rng_seed must be nonnegative, got {self.rng_seed}")
+        out.append(count_violation(
+            "rng_seed", self.rng_seed, 0,
+            f"rng_seed must be nonnegative, got {self.rng_seed}"))
         gammas = np.asarray(self.path_losses, dtype=float)
-        if self.num_devices >= 1 and (gammas.ndim != 1
-                                      or gammas.shape[0] != self.num_devices):
+        if not count_bad["num_devices"] and (
+                gammas.ndim != 1 or gammas.shape[0] != self.num_devices):
             out.append(
                 f"path_losses must have shape ({self.num_devices},), got {gammas.shape}"
             )

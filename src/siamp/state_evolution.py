@@ -108,21 +108,16 @@ def draw_samples(params: SeParams, rng: np.random.Generator):
     return gamma, x_true, noise, si_term
 
 
-def se_step(tau_sq: float, params: SeParams, samples, denoiser_fn=None):
+def se_step(tau_sq: float, params: SeParams, samples):
     """One recursion step: (next tau^2, Monte Carlo standard error), a pure
-    map of `draw_samples`' output.  `denoiser_fn(x_tilde, x_true)` replaces
-    the real denoiser when given (test hook).
-    """
+    map of `draw_samples`' output."""
     if not tau_sq > 0.0:
         raise InvalidConfig(f"tau_sq must be positive, got {tau_sq}")
     gamma, x_true, noise, si_term = samples
     s, m = x_true.shape
     tau = float(np.sqrt(tau_sq))
     x_tilde = x_true + tau * noise
-    if denoiser_fn is not None:
-        estimates = denoiser_fn(x_tilde, x_true)
-    else:
-        estimates, _ = denoise_rows(x_tilde, gamma, tau, params.lam, si_term)
+    estimates, _ = denoise_rows(x_tilde, gamma, tau, params.lam, si_term)
     per_sample_mse = np.sum(np.abs(estimates - x_true) ** 2, axis=-1) / m
     next_tau_sq = params.noise_variance + params.load * float(np.mean(per_sample_mse))
     stderr = params.load * float(np.std(per_sample_mse, ddof=1) / np.sqrt(s))

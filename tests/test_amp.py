@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from siamp import (AmpState, NonFiniteState, ScenarioConfig, SiAmpError,
-                   amp, amp_iterate, detector, generate_scenario,
-                   pseudo_observations, run_block, run_blocks, run_trial,
-                   run_trial_variants, spec_from_options)
+from siamp import (NonFiniteState, ScenarioConfig, SiAmpError, amp, detector,
+                   generate_scenario, pseudo_observations, run_block,
+                   run_blocks, run_trial, run_trial_variants,
+                   spec_from_options)
 from siamp.denoiser import SideInfo, denoise_rows, si_log_odds
 from siamp.streams import substream
 
@@ -60,37 +60,38 @@ class TestPseudoObservations:
 
 
 class TestIterate:
-    def test_identity_denoiser_closed_form(self):
+    # each test runs one block for a fixed number of iterations, through
+    # run_block, with the module's denoiser binding replaced where needed
+    def test_identity_denoiser_closed_form(self, monkeypatch):
         cfg = small_config()
         scenario = generate_scenario(cfg)
         y = scenario.received[0]
         s = scenario.pilots
         n = cfg.num_devices
-        state = AmpState(x=np.zeros((n, cfg.num_antennas), complex),
-                         residual=y.copy(),
-                         tau=np.linalg.norm(y) / np.sqrt(y.size), t=0)
-        hook = lambda xt: (xt, np.ones(n))
-        new = amp_iterate(state, y, s, 0.0, cfg, denoiser_fn=hook)
-        expected_x = pseudo_observations(state.x, state.residual, s)
-        np.testing.assert_array_equal(new.x, expected_x)
-        expected_r = y - s @ expected_x + (n / cfg.pilot_length) * state.residual
+        monkeypatch.setattr(amp, "MAX_ITERS", 1)
+        monkeypatch.setattr(amp, "denoise_rows",
+                            lambda rows, *args: (rows, np.ones(n)))
+        new = run_block(y, s, 0.0, cfg)
+        expected_x = pseudo_observations(np.zeros_like(new.x_hat), y, s)
+        np.testing.assert_array_equal(new.x_hat, expected_x)
+        expected_r = y - s @ expected_x + (n / cfg.pilot_length) * y
         np.testing.assert_allclose(new.residual, expected_r, atol=1e-12)
 
-    def test_zero_denoiser_fixed_point(self):
+    def test_zero_denoiser_fixed_point(self, monkeypatch):
         cfg = small_config()
         scenario = generate_scenario(cfg)
         y = scenario.received[0]
         s = scenario.pilots
         n = cfg.num_devices
-        state = AmpState(x=np.zeros((n, cfg.num_antennas), complex),
-                         residual=y.copy(),
-                         tau=np.linalg.norm(y) / np.sqrt(y.size), t=0)
-        hook = lambda xt: (np.zeros_like(xt), np.zeros(n))
-        new = amp_iterate(state, y, s, 0.0, cfg, denoiser_fn=hook)
-        np.testing.assert_array_equal(new.x, 0.0)
+        monkeypatch.setattr(amp, "MAX_ITERS", 1)
+        monkeypatch.setattr(amp, "denoise_rows",
+                            lambda rows, *args: (np.zeros_like(rows),
+                                                 np.zeros(n)))
+        new = run_block(y, s, 0.0, cfg)
+        np.testing.assert_array_equal(new.x_hat, 0.0)
         np.testing.assert_array_equal(new.residual, y)
 
-    def test_matches_independent_transcription(self):
+    def test_matches_independent_transcription(self, monkeypatch):
         # straight-line rewrite of the update equations, no shared helpers
         cfg = small_config(num_devices=4, pilot_length=3, num_antennas=2,
                            path_losses=np.array([0.5, 1.0, 1.5, 2.0]))
@@ -101,11 +102,10 @@ class TestIterate:
             pseudo_obs=(substream(4, "t").standard_normal((4, 2))
                         + 1j * substream(5, "t").standard_normal((4, 2))),
             tau_prev=0.9)
-        state = AmpState(x=np.zeros((4, 2), complex), residual=y.copy(),
-                         tau=np.linalg.norm(y) / np.sqrt(y.size), t=0)
-        for _ in range(3):
-            state = amp_iterate(state, y, s, si_log_odds(
-                prev, cfg.path_losses, cfg.persistence, cfg.beta), cfg)
+        monkeypatch.setattr(amp, "MAX_ITERS", 3)
+        result = run_block(y, s, si_log_odds(prev, cfg.path_losses,
+                                             cfg.persistence, cfg.beta), cfg)
+        assert result.iters_used == 3
 
         lam, alpha, beta = cfg.activity_rate, cfg.persistence, cfg.beta
         x = np.zeros((4, 2), complex)
@@ -135,20 +135,20 @@ class TestIterate:
             x = x_new
             tau = max(np.linalg.norm(r) / np.sqrt(6),
                       1e-12 * np.sqrt(cfg.path_losses.max()))
-        np.testing.assert_allclose(state.x, x, rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(state.residual, r, rtol=1e-12, atol=1e-15)
-        assert state.tau == pytest.approx(tau, rel=1e-12)
+        np.testing.assert_allclose(result.x_hat, x, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(result.residual, r, rtol=1e-12, atol=1e-15)
+        assert result.tau_final == pytest.approx(tau, rel=1e-12)
 
-    def test_non_finite_state_raises(self):
+    def test_non_finite_state_raises(self, monkeypatch):
         cfg = small_config()
         scenario = generate_scenario(cfg)
         y = scenario.received[0]
-        state = AmpState(x=np.zeros((24, 2), complex), residual=y.copy(),
-                         tau=np.linalg.norm(y) / np.sqrt(y.size), t=0)
-        hook = lambda xt: (np.full_like(xt, np.inf), np.ones(24))
+        monkeypatch.setattr(amp, "MAX_ITERS", 1)
+        monkeypatch.setattr(amp, "denoise_rows",
+                            lambda rows, *args: (np.full_like(rows, np.inf),
+                                                 np.ones(24)))
         with pytest.raises(NonFiniteState):
-            amp_iterate(state, y, scenario.pilots, 0.0, cfg,
-                        denoiser_fn=hook)
+            run_block(y, scenario.pilots, 0.0, cfg)
 
 
 class TestRunBlock:
@@ -546,7 +546,7 @@ class TestAsymptotics:
         z = np.concatenate([err.real.ravel(), err.imag.ravel()]) / scale
         assert stats.kstest(z, "norm").pvalue > 0.01
 
-    def test_onsager_term_needed_for_gaussianity(self):
+    def test_onsager_term_needed_for_gaussianity(self, monkeypatch):
         # dropping the correction breaks the calibration the test above checks
         cfg = ScenarioConfig(num_devices=2000, pilot_length=400, num_antennas=1,
                              num_blocks=1, activity_rate=0.05, persistence=0.05,
@@ -555,25 +555,26 @@ class TestAsymptotics:
         scenario = generate_scenario(cfg)
         y = scenario.received[0]
         s = scenario.pilots
+        corrected = run_block(y, s, 0.0, cfg)
+        real_denoise_rows = amp.denoise_rows
 
-        def no_onsager(xt):
-            out, _ = denoise_rows(xt, cfg.path_losses, state.tau,
-                                  cfg.activity_rate)
+        def no_onsager(rows, *args):
+            out, _ = real_denoise_rows(rows, *args)
             return out, np.zeros(cfg.num_devices)
 
-        state = AmpState(x=np.zeros((2000, 1), complex), residual=y.copy(),
-                         tau=np.linalg.norm(y) / np.sqrt(y.size), t=0)
-        for _ in range(25):
-            state = amp_iterate(state, y, s, 0.0, cfg, denoiser_fn=no_onsager)
-        err = (pseudo_observations(state.x, state.residual, s)
-               - scenario.blocks[0].effective_signal)
+        # 25 iterations with the correction dropped
+        monkeypatch.setattr(amp, "MAX_ITERS", 25)
+        monkeypatch.setattr(amp, "CONVERGENCE_TOL", 0.0)
+        monkeypatch.setattr(amp, "denoise_rows", no_onsager)
+        result = run_block(y, s, 0.0, cfg)
+        assert result.iters_used == 25
+        err = result.pseudo_obs - scenario.blocks[0].effective_signal
         emp_var = np.mean(np.abs(err) ** 2)
         # without the correction the residual no longer calibrates the true
         # pseudo-observation error and the iteration stalls at a much worse
         # effective noise level than the corrected run
-        corrected = run_block(y, s, 0.0, cfg)
         err_c = corrected.pseudo_obs - scenario.blocks[0].effective_signal
         ratio_c = np.mean(np.abs(err_c) ** 2) / corrected.tau_final ** 2
         assert abs(ratio_c - 1.0) < 0.05
-        assert abs(emp_var / state.tau ** 2 - 1.0) > 0.1
-        assert state.tau ** 2 > 2.0 * corrected.tau_final ** 2
+        assert abs(emp_var / result.tau_final ** 2 - 1.0) > 0.1
+        assert result.tau_final ** 2 > 2.0 * corrected.tau_final ** 2

@@ -142,6 +142,41 @@ class TestParseConfig:
             "num_devices must be a positive count",
             "rng_seed must be nonnegative, got -1"]
 
+    @pytest.mark.parametrize("key, value", [
+        ("num_devices", 40.0), ("pilot_length", 2.5), ("num_antennas", True),
+        ("num_blocks", True), ("rng_seed", 1.5), ("num_trials", 2.5),
+        ("parallelism", np.float64(1.0)), ("se_sample_count", 2000.0)])
+    def test_count_or_seed_not_an_integer_rejected(self, key, value):
+        # typed options are taken as they are: a float or bool count would
+        # fail late, and a float seed would run truncated
+        with pytest.raises(ValidationError) as exc:
+            spec_from_options(desk_options(**{key: value}))
+        assert exc.value.violations == [
+            f"{key} must be an integer, got {value!r}"]
+        spec = spec_from_options(desk_options())
+        if hasattr(spec.scenario, key):
+            built = replace(spec, scenario=replace(spec.scenario,
+                                                   **{key: value}))
+        else:
+            built = replace(spec, **{key: value})
+        with pytest.raises(ValidationError, match=key):
+            built.validate()
+
+    def test_numpy_integer_counts_run(self):
+        typed = {key: np.int64(desk_options()[key])
+                 for key in ("num_devices", "pilot_length", "num_antennas",
+                             "num_blocks", "rng_seed")}
+        typed.update(num_trials=np.int64(2), parallelism=np.int64(1),
+                     se_sample_count=np.int64(200))
+        spec = spec_from_options(desk_options(**typed))
+        again = spec_from_options(desk_options(num_trials="2",
+                                               se_sample_count="200"))
+        got, want = run_experiment(spec), run_experiment(again)
+        for variant in spec.variants:
+            for a, b in zip(got.curves[variant], want.curves[variant],
+                            strict=True):
+                np.testing.assert_array_equal(a.p_md, b.p_md)
+
     @pytest.mark.parametrize("grid", ["20:-20:81", "0,nan"])
     def test_unordered_or_nonfinite_l_grid_rejected(self, grid):
         # per-trial rates are interpolated in l, which needs an increasing grid
@@ -412,6 +447,24 @@ def test_stopping_rule_keeps_detection_quality(preset, monkeypatch):
     iters_ref = sum(data["iters_used"].sum()
                     for data in tight.per_trial.values())
     assert iters <= 0.6 * iters_ref
+
+
+@pytest.mark.slow
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 6: oscillating AMP blocks stop at "
+                          "MAX_ITERS until damping lands")
+@pytest.mark.parametrize("preset", ["fig3-desk", "fig4-desk"])
+def test_every_desk_block_run_converges(preset):
+    # the 9 distinct block runs of each trial, nosi slots 1-5 and si slots
+    # 2-5 (si slot 1 is nosi's block 1), on trials 0-59 of the preset seed
+    result = run_experiment(spec_from_options({"preset": preset,
+                                               "num_trials": 60}))
+    stuck = []
+    for variant, first_slot in (("nosi", 1), ("si", 2)):
+        converged = result.per_trial[variant]["converged"][:, first_slot - 1:]
+        for trial, j in zip(*np.nonzero(~converged)):
+            stuck.append(f"trial {trial} {variant} slot {j + first_slot}")
+    assert stuck == []
 
 
 @st.composite

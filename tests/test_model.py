@@ -213,6 +213,19 @@ class TestScenario:
         below[7] = np.nextafter(floor, 0.0)
         assert len(desk_config(path_losses=below).violations()) == 1
 
+    @pytest.mark.parametrize("key, value", [
+        ("num_devices", 40.0), ("pilot_length", np.float64(16.0)),
+        ("num_antennas", True), ("num_blocks", 2.5), ("rng_seed", 1.5)])
+    def test_count_or_seed_must_be_an_integer(self, key, value):
+        # a float or bool count passed the checks and failed in numpy, and a
+        # float seed ran truncated
+        bad = desk_config(**{key: value})
+        assert bad.violations() == [f"{key} must be an integer, got {value!r}"]
+        with pytest.raises(InvalidConfig, match=key):
+            generate_scenario(bad)
+        good = desk_config(**{key: np.int64(getattr(desk_config(), key))})
+        assert good.violations() == []
+
     def test_trace_csv_roundtrip(self, tmp_path):
         import csv
         from siamp import trace_table, write_tables

@@ -18,23 +18,32 @@ def make_params(**overrides):
     return SeParams(**defaults)
 
 
-def step(tau_sq, params, rng, denoiser_fn=None):
+def step(tau_sq, params, rng):
     # one step on samples freshly drawn from rng
-    return se_step(tau_sq, params, draw_samples(params, rng), denoiser_fn)
+    return se_step(tau_sq, params, draw_samples(params, rng))
+
+
+def replace_denoiser(monkeypatch, estimate):
+    # se_step's denoiser returns estimate(x_tilde) for every sample
+    monkeypatch.setattr(state_evolution, "denoise_rows",
+                        lambda x_tilde, *args: (estimate(x_tilde), None))
 
 
 class TestSeStep:
-    def test_perfect_denoiser_returns_noise_floor(self):
+    def test_perfect_denoiser_returns_noise_floor(self, monkeypatch):
         params = make_params()
-        hook = lambda xt, x_true: x_true
-        nxt, err = step(0.5, params, substream(0, "se"), denoiser_fn=hook)
+        samples = draw_samples(params, substream(0, "se"))
+        x_true = samples[1]
+        replace_denoiser(monkeypatch, lambda x_tilde: x_true)
+        nxt, err = se_step(0.5, params, samples)
         assert nxt == params.noise_variance
         assert err == 0.0
 
-    def test_zero_denoiser_adds_signal_power(self):
+    def test_zero_denoiser_adds_signal_power(self, monkeypatch):
         params = make_params(sample_count=400_000)
-        hook = lambda xt, x_true: np.zeros_like(xt)
-        nxt, err = step(0.5, params, substream(1, "se"), denoiser_fn=hook)
+        samples = draw_samples(params, substream(1, "se"))
+        replace_denoiser(monkeypatch, np.zeros_like)
+        nxt, err = se_step(0.5, params, samples)
         expected = params.noise_variance + params.load * params.lam * 1.0
         assert nxt == pytest.approx(expected, abs=4 * err)
 
@@ -57,11 +66,12 @@ class TestSeStep:
         ratio = np.mean(errs_small) / np.mean(errs_big)
         assert ratio == pytest.approx(np.sqrt(2.0), rel=0.1)
 
-    def test_heterogeneous_gains_sampled(self):
+    def test_heterogeneous_gains_sampled(self, monkeypatch):
         params = make_params(gammas=np.array([0.5, 2.0]),
                              sample_count=200_000)
-        hook = lambda xt, x_true: np.zeros_like(xt)
-        nxt, err = step(0.5, params, substream(4, "se"), denoiser_fn=hook)
+        samples = draw_samples(params, substream(4, "se"))
+        replace_denoiser(monkeypatch, np.zeros_like)
+        nxt, err = se_step(0.5, params, samples)
         expected = params.noise_variance + params.load * params.lam * 1.25
         assert nxt == pytest.approx(expected, abs=4 * err)
 
