@@ -8,7 +8,7 @@ a Monte Carlo experiment harness.
 
 __version__ = "0.1.0"
 
-from .amp import (AmpBlockResult, AmpState, TrialResult, amp_iterate,
+from .amp import (AmpBlockResult, TrialResult, amp_iterate,
                   pseudo_observations, run_block, run_blocks, run_trial,
                   run_trial_variants)
 from .denoiser import (DenoiserParams, SideInfo, case_log_likelihoods,

@@ -28,9 +28,6 @@ from .errors import DimensionMismatch, NonFiniteState
 MAX_ITERS = 50
 CONVERGENCE_TOL = 1e-3
 
-# guards the relative-change convergence test against a zero baseline
-_NORM_FLOOR = 1e-30
-
 # tau, an amplitude, is clamped to this multiple of the square root of the
 # strongest channel gain so the precision gap in the denoiser never
 # divides by zero, and the floor stays below tau at any admitted gain
@@ -40,7 +37,6 @@ TAU_FLOOR_FACTOR = 1e-12
 VARIANTS = ("si", "nosi")
 
 __all__ = [
-    "AmpState",
     "AmpBlockResult",
     "TrialResult",
     "pseudo_observations",
@@ -50,18 +46,6 @@ __all__ = [
     "run_trial",
     "run_trial_variants",
 ]
-
-
-@dataclass
-class AmpState:
-    """Iterate of the algorithm for K blocks that share the pilot matrix:
-    block k owns columns k*M .. (k+1)*M - 1 of the estimate and residual."""
-
-    x: np.ndarray  # (N, K*M) complex
-    residual: np.ndarray  # (L, K*M) complex
-    tau: np.ndarray  # (K,) noise level per block
-    t: int
-    residual_norm: np.ndarray  # (K,) Frobenius norm per block
 
 
 @dataclass(frozen=True)
@@ -118,35 +102,38 @@ def _columns(blocks: np.ndarray, m: int) -> np.ndarray:
     return (blocks[:, None] * m + np.arange(m)).ravel()
 
 
-def amp_iterate(state: AmpState, y: np.ndarray, pilots: np.ndarray,
-                si_term, config: model.ScenarioConfig,
-                tau_floor: float) -> AmpState:
+def amp_iterate(x: np.ndarray, residual: np.ndarray, tau: np.ndarray,
+                y: np.ndarray, pilots: np.ndarray, si_term,
+                config: model.ScenarioConfig):
     """One estimator update followed by the corrected residual update, for
-    the K blocks of a wide state at once.
+    K blocks that share the pilot matrix at once: block k owns columns
+    k*M .. (k+1)*M - 1 of the (N, K*M) estimate `x` and of the (L, K*M)
+    residual, and `tau[k]` is its noise level.
 
     `si_term` is the side-information log-odds term shared by the blocks
-    (0.0 for none); `tau_floor` is the lowest noise level tau may take.
+    (0.0 for none).  Returns the next estimate, the next residual and the
+    residual's (K,) Frobenius norm per block.
     """
     n, l = config.num_devices, config.pilot_length
-    k = state.tau.size
-    m = state.x.shape[1] // k
-    x_tilde = pseudo_observations(state.x, state.residual, pilots)
+    k = tau.size
+    m = x.shape[1] // k
+    x_tilde = pseudo_observations(x, residual, pilots)
     # block-major rows, so every per-device operation runs along the devices
     rows = (x_tilde[None] if k == 1 else
             np.ascontiguousarray(x_tilde.reshape(n, k, m).transpose(1, 0, 2)))
     # a lone block's tau goes in as a scalar: broadcasting a (1, 1) array
     # costs about a microsecond in each denoiser operation
     x_rows, deriv = denoise_rows(rows, config.path_losses,
-                                 state.tau[:, None] if k > 1 else state.tau[0],
+                                 tau[:, None] if k > 1 else tau[0],
                                  config.activity_rate, si_term)
     # a view of the denoiser's output for one block
     x_next = x_rows.reshape(k, n, m).transpose(1, 0, 2).reshape(n, k * m)
     if not np.isfinite(x_next).all():
-        raise NonFiniteState(f"non-finite estimate at t={state.t + 1}")
+        raise NonFiniteState("non-finite estimate")
     # one correction scalar per block: the population average of its
     # devices' entrywise-averaged derivatives (`mean`'s arithmetic)
     onsager = np.add.reduce(deriv.reshape(k, n), axis=-1) / n
-    correction = state.residual * np.repeat((n / l) * onsager, m)
+    correction = residual * np.repeat((n / l) * onsager, m)
     # S x by row halves split at a multiple of 8 rows, the later half
     # first: the matched filter has just read S front to back, so its last
     # rows are still cached.  Single-threaded OpenBLAS gives every row the
@@ -158,11 +145,8 @@ def amp_iterate(state: AmpState, y: np.ndarray, pilots: np.ndarray,
     np.matmul(pilots[:half], x_next, out=s_x[:half])
     residual = y - s_x + correction
     if not np.isfinite(residual).all():
-        raise NonFiniteState(f"non-finite residual at t={state.t + 1}")
-    norms = _block_norms(residual, m)
-    tau = np.maximum(norms / math.sqrt(l * m), tau_floor)
-    return AmpState(x=x_next, residual=residual, tau=tau, t=state.t + 1,
-                    residual_norm=norms)
+        raise NonFiniteState("non-finite residual")
+    return x_next, residual, _block_norms(residual, m)
 
 
 def run_blocks(received, pilots: np.ndarray, si_term,
@@ -180,56 +164,60 @@ def run_blocks(received, pilots: np.ndarray, si_term,
     tau_floor = TAU_FLOOR_FACTOR * math.sqrt(float(np.max(config.path_losses)))
     y = np.concatenate(received, axis=1)
     k = len(received)
-    norms = _block_norms(y, m)
-    state = AmpState(x=np.zeros((n, k * m), dtype=complex), residual=y,
-                     tau=np.maximum(norms / math.sqrt(l * m), tau_floor), t=0,
-                     residual_norm=norms)
-    tau_traces = [[tau] for tau in state.tau.tolist()]
+    x, residual = np.zeros((n, k * m), dtype=complex), y
+    tau = np.maximum(_block_norms(y, m) / math.sqrt(l * m), tau_floor)
+    tau_traces = [[v] for v in tau.tolist()]
     delta_traces = [[] for _ in range(k)]
     res_traces = [[] for _ in range(k)]
     results = [None] * k
     active = list(range(k))
     x_norms = np.zeros(k)  # norms of the current estimates
-    while True:
-        new = amp_iterate(state, y, pilots, si_term, config, tau_floor)
-        new_x_norms = _block_norms(new.x, m)
-        change = (_block_norms(new.x - state.x, m)
-                  / np.maximum(x_norms, _NORM_FLOOR))
-        for b, tau, delta, res in zip(active, new.tau.tolist(),
-                                      change.tolist(),
-                                      new.residual_norm.tolist()):
-            tau_traces[b].append(tau)
+    for t in range(1, MAX_ITERS + 1):
+        try:
+            x_next, residual, norms = amp_iterate(x, residual, tau, y, pilots,
+                                                  si_term, config)
+        except NonFiniteState as exc:
+            raise NonFiniteState(f"{exc} at t={t}") from exc
+        tau = np.maximum(norms / math.sqrt(l * m), tau_floor)
+        new_x_norms = _block_norms(x_next, m)
+        # ||x_t - x_(t-1)|| relative to ||x_(t-1)||, or to ||x_t|| where
+        # x_(t-1) = 0 (at t = 1 it so reads 1), with no absolute scale.
+        # 0/0 reads 0, converged: a zero estimate has zero derivatives, so
+        # the residual is y again and the estimate stays 0.
+        ref = np.where(x_norms > 0, x_norms, new_x_norms)
+        change = np.divide(_block_norms(x_next - x, m), ref,
+                           out=np.zeros(len(active)), where=ref > 0)
+        for b, tau_b, delta, res in zip(active, tau.tolist(), change.tolist(),
+                                        norms.tolist()):
+            tau_traces[b].append(tau_b)
             delta_traces[b].append(delta)
             res_traces[b].append(res)
-        state, x_norms = new, new_x_norms
+        x, x_norms = x_next, new_x_norms
         converged = change < CONVERGENCE_TOL
-        if state.t < MAX_ITERS and not converged.any():
+        if t < MAX_ITERS and not converged.any():
             continue
-        done = converged | (state.t == MAX_ITERS)
+        done = converged | (t == MAX_ITERS)
         leaving, keep = np.flatnonzero(done), np.flatnonzero(~done)
         cols = _columns(leaving, m)
-        x_hat, residual = state.x[:, cols], state.residual[:, cols]
-        final_pseudo = pseudo_observations(x_hat, residual, pilots)
+        x_hat, final_residual = x[:, cols], residual[:, cols]
+        final_pseudo = pseudo_observations(x_hat, final_residual, pilots)
         for i, j in enumerate(leaving):
             own = slice(i * m, (i + 1) * m)
             b = active[j]
             results[b] = AmpBlockResult(
                 x_hat=np.ascontiguousarray(x_hat[:, own]),
                 pseudo_obs=np.ascontiguousarray(final_pseudo[:, own]),
-                residual=np.ascontiguousarray(residual[:, own]),
+                residual=np.ascontiguousarray(final_residual[:, own]),
                 tau_trace=np.asarray(tau_traces[b]),
                 delta_x_trace=np.asarray(delta_traces[b]),
                 residual_fro_trace=np.asarray(res_traces[b]),
-                iters_used=state.t, converged=bool(converged[j]))
+                iters_used=t, converged=bool(converged[j]))
         if not keep.size:
             break
         active = [active[j] for j in keep]
         cols = _columns(keep, m)
-        y = y[:, cols]
-        state = AmpState(x=state.x[:, cols], residual=state.residual[:, cols],
-                         tau=state.tau[keep], t=state.t,
-                         residual_norm=state.residual_norm[keep])
-        x_norms = x_norms[keep]
+        x, residual, y = x[:, cols], residual[:, cols], y[:, cols]
+        tau, x_norms = tau[keep], x_norms[keep]
     return results
 
 

@@ -25,6 +25,15 @@ STREAM_NOISE = "noise"
 # LLR loses its data term and the published energy threshold divides by 0;
 # at 2^-40 delta keeps about 13 significant bits
 MIN_GAIN_TO_NOISE = 2.0 ** -40
+# largest gain/noise_variance admitted: the log-odds multiply delta (up to
+# 1/noise_variance in state evolution) by energies of up to about 1e3 times
+# the gain, and overflow near a ratio of 1e306
+MAX_GAIN_TO_NOISE = 2.0 ** 900
+
+# smallest gain or noise_variance admitted: above it, scaling every power
+# by 4^k changes no output but by exact powers of 2; near 1e-307 the
+# intermediates go subnormal and that is lost
+MIN_POWER = 2.0 ** -1000
 
 
 def beta_from(lam: float, alpha: float) -> float:
@@ -49,11 +58,14 @@ def beta_from(lam: float, alpha: float) -> float:
 
 def power_violation(name: str, values, bound: float) -> str | None:
     """Why a gain or noise variance (every entry of an array of them) is
-    not finite, positive and at most `bound`, or None."""
+    not finite, at least `MIN_POWER` and at most `bound`, or None."""
     values = np.asarray(values, dtype=float).ravel()
     bad = values[~((values > 0.0) & (values < np.inf))]
     if bad.size:
         return f"{name} must be finite and positive, got {bad[0]}"
+    if values.min() < MIN_POWER:
+        return (f"{name} must be at least 2^-1000 = {MIN_POWER:.6g}, "
+                f"got {values.min()}")
     if values.max() > bound:
         return (f"{name} must be at most sqrt(largest double)/(N*L*M) = "
                 f"{bound:.6g}, got {values.max()}")
@@ -141,10 +153,15 @@ class ScenarioConfig:
         elif gammas.size:
             gain_bad = power_violation("path_losses", gammas, bound)
             floor = MIN_GAIN_TO_NOISE * self.noise_variance
-            # the floor is a ratio of two powers, so both must be valid first
+            # a float product: an overflow to inf raises no warning
+            ceiling = MAX_GAIN_TO_NOISE * float(self.noise_variance)
+            # both are ratios of two powers, so both must be valid first
             if not (gain_bad or noise_bad) and gammas.min() < floor:
                 gain_bad = (f"path_losses must be at least 2^-40*noise_variance"
                             f" = {floor:.6g}, got {gammas.min()}")
+            elif not (gain_bad or noise_bad) and gammas.max() > ceiling:
+                gain_bad = (f"path_losses must be at most 2^900*noise_variance"
+                            f" = {ceiling:.6g}, got {gammas.max()}")
             out.append(gain_bad)
         return [v for v in out if v is not None]
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .denoiser import SideInfo, denoise_rows, si_log_odds
 from .errors import InvalidConfig
-from .model import ScenarioConfig
+from .model import ScenarioConfig, count_violation
 
 __all__ = ["SeParams", "SeTrace", "draw_samples", "se_step", "se_fixed_point"]
 
@@ -41,8 +41,12 @@ class SeParams:
     def __post_init__(self):
         object.__setattr__(self, "gammas",
                            np.atleast_1d(np.asarray(self.gammas, dtype=float)))
-        if self.sample_count < 2:
-            raise InvalidConfig("sample_count must be >= 2")
+        for bad in (count_violation("sample_count", self.sample_count, 2,
+                                    "sample_count must be >= 2"),
+                    count_violation("num_antennas", self.num_antennas, 1,
+                                    "num_antennas must be a positive count")):
+            if bad:
+                raise InvalidConfig(bad)
         if not self.noise_variance > 0.0 or not self.load > 0.0:
             raise InvalidConfig("noise_variance and load must be positive")
         if self.tau_prev is not None and not self.tau_prev > 0.0:

@@ -147,7 +147,7 @@ class TestIterate:
         monkeypatch.setattr(amp, "denoise_rows",
                             lambda rows, *args: (np.full_like(rows, np.inf),
                                                  np.ones(24)))
-        with pytest.raises(NonFiniteState):
+        with pytest.raises(NonFiniteState, match="estimate at t=1"):
             run_block(y, scenario.pilots, 0.0, cfg)
 
 
@@ -235,9 +235,9 @@ class TestRunBlocks:
         widths = []
         real_iterate = amp.amp_iterate
 
-        def recorded_iterate(state, *args, **kwargs):
-            widths.append(state.x.shape[1])
-            return real_iterate(state, *args, **kwargs)
+        def recorded_iterate(x, *args, **kwargs):
+            widths.append(x.shape[1])
+            return real_iterate(x, *args, **kwargs)
 
         monkeypatch.setattr(amp, "amp_iterate", recorded_iterate)
         batch = run_blocks(scenario.received, scenario.pilots, 0.0, cfg)
@@ -315,8 +315,11 @@ def oracle_run_blocks(received, pilots, si_term, cfg):
         r = y - pilots @ x_new + correction.reshape(-1, k * m)
         norms = block_norms(r)
         tau = np.maximum(norms / np.sqrt(l * m), tau_floor)
-        change = block_norms(x_new - x) / np.maximum(x_norms, 1e-30)
-        x, x_norms, t = x_new, block_norms(x_new), t + 1
+        new_norms = block_norms(x_new)
+        ref = np.where(x_norms > 0, x_norms, new_norms)
+        change = np.divide(block_norms(x_new - x), ref,
+                           out=np.zeros(len(active)), where=ref > 0)
+        x, x_norms, t = x_new, new_norms, t + 1
         for b, tau_b, delta, res in zip(active, tau, change, norms):
             traces[b][0].append(tau_b)
             traces[b][1].append(delta)

@@ -250,6 +250,23 @@ def test_scale_above_power_bound_is_error(command, key, tiny_config, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["dump-traces", "simulate"])
+@pytest.mark.parametrize("key", ["gamma", "noise_variance"])
+def test_power_below_floor_is_error(command, key, tiny_config, tmp_path,
+                                    capsys):
+    # below 2^-1000 intermediates approach the subnormal range, where
+    # scaling every power by 4^k stops being exact; such a power is
+    # rejected under the name it uses
+    set_key(tiny_config, key, repr(float(np.nextafter(2.0 ** -1000, 0.0))))
+    out = tmp_path / "out"
+    assert main([command, str(tiny_config), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid configuration:\n  - {key} must be "
+                          "at least 2^-1000")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_gain_below_power_bound_runs_cleanly(tiny_config, tmp_path):
     # the largest admitted gain runs every trial with no numpy warning, and
     # so does the largest admitted noise variance, under that gain so that

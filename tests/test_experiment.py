@@ -1,5 +1,7 @@
 import csv
+import functools
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from siamp import (NonFiniteState, ParseError, SiAmpError, ValidationError,
@@ -469,17 +471,18 @@ def test_every_desk_block_run_converges(preset):
 
 @st.composite
 def config_options(draw):
-    # the admitted ranges, powers log-uniform up to the power bound
+    # the admitted ranges, powers log-uniform from the power floor 2^-1000
+    # up to the power bound
     n, l = draw(st.integers(4, 79)), draw(st.integers(2, 59))
     m = draw(st.sampled_from([1, 2, 8]))
     lam = draw(st.floats(0.01, 0.6))
     persistence = draw(st.sampled_from([0.0, lam, 1.0, None]))
     if persistence is None:
         persistence = draw(st.floats(0.0, 1.0))
-    top = np.log10(np.sqrt(np.finfo(float).max) / (n * l * m))
+    top = np.log2(np.sqrt(np.finfo(float).max) / (n * l * m))
 
     def power():
-        return 10.0 ** draw(st.floats(-25.0, top))
+        return 2.0 ** draw(st.floats(-1000.0, top))
 
     return {"num_devices": n, "pilot_length": l, "num_antennas": m,
             "num_blocks": draw(st.integers(1, 3)), "activity_rate": lam,
@@ -529,3 +532,53 @@ def test_config_built_in_code_runs_cleanly_or_is_rejected(options, spread,
         scenario=scenario, num_trials=options["num_trials"],
         l_grid=np.linspace(-10.0, 10.0, 21), out_dir=None, parallelism=1,
         se_sample_count=options["se_sample_count"]))
+
+
+# a small annulus run whose gains and noise variance are scaled by 4^k
+SCALING_SPEC = spec_from_options({
+    "num_devices": "60", "pilot_length": "20", "num_antennas": "2",
+    "num_blocks": "3", "activity_rate": "0.1", "persistence": "0.46",
+    "placement": "annulus", "rng_seed": "3", "num_trials": "3",
+    "se_sample_count": "200", "l_grid": "-10:10:41"})
+_BASE_POWERS = np.append(SCALING_SPEC.scenario.path_losses,
+                         SCALING_SPEC.scenario.noise_variance)
+# every k whose scaled powers stay within [2^-1000, power bound]
+SCALE_K_MIN = math.ceil((-1000 - np.log2(_BASE_POWERS.min())) / 2)
+SCALE_K_MAX = math.floor((np.log2(SCALING_SPEC.scenario.power_bound())
+                          - np.log2(_BASE_POWERS.max())) / 2)
+
+
+@functools.cache
+def power_scaled_run(k):
+    scenario = SCALING_SPEC.scenario
+    return run_experiment(replace(SCALING_SPEC, scenario=replace(
+        scenario, path_losses=scenario.path_losses * 4.0 ** k,
+        noise_variance=scenario.noise_variance * 4.0 ** k)))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(SCALE_K_MIN, SCALE_K_MAX))
+@example(SCALE_K_MIN)
+@example(-120)
+@example(SCALE_K_MAX)
+def test_power_scaling_is_exact(k):
+    # scaling every power by 4^k scales y, the estimates and tau by exactly
+    # 2^k (the square root of a power of 4 is exact), so every detection,
+    # NMSE and iteration count keeps its bits, down to the power floor
+    base, scaled = power_scaled_run(0), power_scaled_run(k)
+    assert scaled.failures == base.failures == []
+    assert (experiment.roc_table(scaled.curves)
+            == experiment.roc_table(base.curves))
+    for variant in experiment.VARIANTS:
+        ours, theirs = scaled.per_trial[variant], base.per_trial[variant]
+        for key in ("nmse", "iters_used", "converged"):
+            np.testing.assert_array_equal(ours[key], theirs[key])
+        np.testing.assert_array_equal(ours["tau_final"],
+                                      theirs["tau_final"] * 2.0 ** k)
+        for trace, base_trace in zip(scaled.se_traces[variant],
+                                     base.se_traces[variant], strict=True):
+            np.testing.assert_array_equal(trace.tau_sq,
+                                          base_trace.tau_sq * 4.0 ** k)
+    rows = experiment.nmse_table(scaled.per_trial)[1]
+    assert ([row[:4] for row in rows]
+            == [row[:4] for row in experiment.nmse_table(base.per_trial)[1]])

@@ -213,6 +213,41 @@ class TestScenario:
         below[7] = np.nextafter(floor, 0.0)
         assert len(desk_config(path_losses=below).violations()) == 1
 
+    def test_gain_above_noise_ceiling_is_rejected(self):
+        # at gain/noise_variance near 1e306 the log-odds overflow; 2^900 *
+        # noise_variance is admitted and runs cleanly, the next double up not
+        from siamp import run_trial_variants
+        from siamp.model import MAX_GAIN_TO_NOISE
+        noise = 2.0 ** -800
+        ceiling = MAX_GAIN_TO_NOISE * noise
+        at_ceiling = desk_config(noise_variance=noise,
+                                 path_losses=np.full(40, ceiling))
+        assert at_ceiling.violations() == []
+        run_trial_variants(at_ceiling)
+        gains = np.full(40, ceiling)
+        gains[5] = np.nextafter(ceiling, np.inf)
+        assert desk_config(noise_variance=noise,
+                           path_losses=gains).violations() == [
+            f"path_losses must be at most 2^900*noise_variance = "
+            f"{ceiling:.6g}, got {gains[5]}"]
+
+    def test_power_below_floor_is_rejected(self):
+        # 2^-1000 itself is admitted for the gains and the noise variance;
+        # the next double below is rejected by name
+        from siamp.model import MIN_POWER
+        below = float(np.nextafter(MIN_POWER, 0.0))
+        assert desk_config(path_losses=np.full(40, MIN_POWER),
+                           noise_variance=MIN_POWER).violations() == []
+        gains = np.full(40, 1.0)
+        gains[3] = below
+        assert desk_config(path_losses=gains).violations() == [
+            f"path_losses must be at least 2^-1000 = 9.33264e-302, got {below}"]
+        assert desk_config(noise_variance=below).violations() == [
+            f"noise_variance must be at least 2^-1000 = 9.33264e-302, "
+            f"got {below}"]
+        with pytest.raises(InvalidConfig, match="noise_variance"):
+            generate_scenario(desk_config(noise_variance=below))
+
     @pytest.mark.parametrize("key, value", [
         ("num_devices", 40.0), ("pilot_length", np.float64(16.0)),
         ("num_antennas", True), ("num_blocks", 2.5), ("rng_seed", 1.5)])

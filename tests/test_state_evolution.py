@@ -130,6 +130,16 @@ class TestFixedPoint:
         with pytest.raises(InvalidConfig):
             make_params(sample_count=1)
 
+    @pytest.mark.parametrize("key, value", [
+        ("sample_count", 2000.5), ("sample_count", 2000.0),
+        ("num_antennas", 1.0), ("num_antennas", True)])
+    def test_count_must_be_an_integer(self, key, value):
+        # a float count constructed, and the trace then failed in numpy
+        with pytest.raises(InvalidConfig,
+                           match=f"{key} must be an integer, got {value!r}"):
+            make_params(**{key: value})
+        make_params(**{key: np.int64(2000 if key == "sample_count" else 1)})
+
     def test_nonconvergence_flagged(self, monkeypatch):
         monkeypatch.setattr(state_evolution, "REL_TOL", 0.0)
         monkeypatch.setattr(state_evolution, "MAX_STEPS", 5)
