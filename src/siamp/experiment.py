@@ -278,12 +278,15 @@ def _run_trial_counts(args):
     for trial in trials:
         counts = [sweep_block_counts(det, spec.l_grid)
                   for det in trial.detections]
-        fa, md, n_inactive, n_active = (np.array(c) for c in zip(*counts))
+        # every count is at most num_devices (MAX_ITERS for iterations)
+        fa, md, n_inactive, n_active = (np.array(c, dtype=np.int32)
+                                        for c in zip(*counts))
         out[trial.variant] = {
             "fa": fa, "md": md, "n_inactive": n_inactive, "n_active": n_active,
             "nmse": np.array([report.metrics.nmse for report in trial.reports]),
             "tau_final": np.array([block.tau_final for block in trial.blocks]),
-            "iters_used": np.array([block.iters_used for block in trial.blocks]),
+            "iters_used": np.array([block.iters_used for block in trial.blocks],
+                                   dtype=np.int32),
             "converged": np.array([block.converged for block in trial.blocks]),
         }
     return index, out, None
@@ -294,9 +297,10 @@ class AggregateResult:
     """Cross-trial aggregate of one experiment.
 
     `per_trial[variant]` keeps the per-trial arrays every table is pooled
-    from: sweep counts `fa`/`md` of shape (trials, slots, len(l_grid)),
-    and `n_inactive`, `n_active`, `nmse` and `tau_final` of shape
-    (trials, slots); also each block's `iters_used` and `converged`, of
+    from, one row per completed trial in trial order: int32 sweep counts
+    `fa`/`md` of shape (trials, slots, len(l_grid)), int32 `n_inactive`
+    and `n_active` and float `nmse` and `tau_final` of shape (trials,
+    slots); also each block's int32 `iters_used` and bool `converged`, of
     the same shape, from the AMP stopping rule.  Variants share scenario
     substreams, so paired per-trial comparisons across variants or slots
     are valid.
@@ -332,43 +336,42 @@ def run_experiment(spec: ExperimentSpec) -> AggregateResult:
     """Execute all trials, pool per-slot counts, attach SE predictions.
 
     Deterministic for a given spec regardless of parallelism: every trial
-    draws from substreams of its own derived seed and results are merged
-    in trial order.  A trial that raises a library error (`SiAmpError`,
-    such as a diverging block's `NonFiniteState`) is recorded and
-    skipped; more than 10% failures aborts the experiment with a
-    `SiAmpError`.  Any other exception propagates.
+    draws from substreams of its own derived seed, and its outcome is
+    written into the per-trial arrays as it arrives, in trial order.  A
+    trial that raises a library error (`SiAmpError`, such as a diverging
+    block's `NonFiniteState`) is recorded and skipped; more than 10%
+    failures aborts the experiment with a `SiAmpError`.  Any other
+    exception propagates.
     """
     spec.validate()
     start = time.perf_counter()
     jobs = [(spec, i) for i in range(spec.num_trials)]
     if spec.parallelism > 1:
+        # consumed inside the block, so any exception shuts the pool down
         with ProcessPoolExecutor(
                 max_workers=spec.parallelism,
                 mp_context=multiprocessing.get_context("spawn")) as pool:
-            outcomes = list(pool.map(_run_trial_counts, jobs))
+            per_trial, failures = _collect_trials(
+                spec, pool.map(_run_trial_counts, jobs))
     else:
-        outcomes = [_run_trial_counts(job) for job in jobs]
-    done = [payload for _, payload, _ in outcomes if payload is not None]
-    failures = [(i, error) for i, _, error in outcomes if error is not None]
+        per_trial, failures = _collect_trials(spec, map(_run_trial_counts, jobs))
     if len(failures) > 0.1 * spec.num_trials:
         raise SiAmpError(f"{len(failures)}/{spec.num_trials} trials failed: "
                          f"{failures[:3]}")
 
-    per_trial = {variant: {key: np.stack([trial[variant][key] for trial in done])
-                           for key in done[0][variant]}
-                 for variant in VARIANTS}
     curves = {variant: [aggregate_slot_counts(data["fa"][:, j], data["md"][:, j],
                                               data["n_inactive"][:, j],
                                               data["n_active"][:, j], spec.l_grid)
                         for j in range(spec.scenario.num_blocks)]
               for variant, data in per_trial.items()}
     se_traces = chained_se_traces(spec)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     metadata = {
         "seed": spec.scenario.rng_seed,
         "version": __version__,
         "wall_time_s": time.perf_counter() - start,
         "num_trials": spec.num_trials,
-        "completed_trials": len(done),
+        "completed_trials": spec.num_trials - len(failures),
         "failed_trials": len(failures),
         "parallelism": spec.parallelism,
         "variants": list(VARIANTS),
@@ -376,10 +379,43 @@ def run_experiment(spec: ExperimentSpec) -> AggregateResult:
         # from it, depends on
         "amp_max_iters": amp.MAX_ITERS,
         "amp_convergence_tol": amp.CONVERGENCE_TOL,
+        # the numeric environment the output bytes may depend on; a BLAS
+        # thread variable that is not set reads None
+        "numpy_version": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas_thread_env": {var: os.environ.get(var) for var in (
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+        "cpu_count": os.cpu_count(),
     }
     return AggregateResult(spec=spec, curves=curves, se_traces=se_traces,
                            per_trial=per_trial, metadata=metadata,
                            failures=failures)
+
+
+def _collect_trials(spec: ExperimentSpec, outcomes):
+    """Consume `_run_trial_counts` outcomes in trial order into
+    (per_trial, failures).
+
+    Each completed trial's arrays are written into per-variant arrays of
+    `spec.num_trials` rows, allocated once from the first completed
+    trial; per_trial holds views of the rows filled.
+    """
+    per_trial, failures, done = {}, [], 0
+    for index, payload, error in outcomes:
+        if error is not None:
+            failures.append((index, error))
+            continue
+        if not per_trial:
+            per_trial = {variant: {
+                key: np.empty((spec.num_trials, *value.shape), value.dtype)
+                for key, value in payload[variant].items()}
+                for variant in VARIANTS}
+        for variant, data in per_trial.items():
+            for key, rows in data.items():
+                rows[done] = payload[variant][key]
+        done += 1
+    return ({variant: {key: rows[:done] for key, rows in data.items()}
+             for variant, data in per_trial.items()}, failures)
 
 
 def chained_se_traces(spec: ExperimentSpec) -> dict[str, list[SeTrace]]:

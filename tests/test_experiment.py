@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -276,6 +277,10 @@ class TestRunExperiment:
                 data = result.per_trial[trial.variant]
                 assert data["iters_used"].shape == (3, 3)
                 assert data["converged"].dtype == bool
+                # counts are at most num_devices (MAX_ITERS for iterations)
+                for key in ("fa", "md", "n_inactive", "n_active",
+                            "iters_used"):
+                    assert data[key].dtype == np.int32, key
                 assert data["iters_used"][k].tolist() == [
                     block.iters_used for block in trial.blocks]
                 assert data["converged"][k].tolist() == [
@@ -319,14 +324,22 @@ class TestRunExperiment:
 
     def test_library_error_recorded_and_trial_skipped(self, monkeypatch):
         self._fail_one_trial(monkeypatch, NonFiniteState("diverged"))
-        result = run_experiment(spec_from_options(desk_options(num_trials="10")))
+        spec = spec_from_options(desk_options(num_trials="10"))
+        result = run_experiment(spec)
+        monkeypatch.undo()
         assert len(result.failures) == 1
         index, message = result.failures[0]
         assert index == 1 and "diverged" in message
         assert result.metadata["completed_trials"] == 9
+        # the completed trials fill the rows in trial order, trial 1 skipped
+        expected = [_run_trial_counts((spec, i))[1] for i in range(10) if i != 1]
         for variant in result.spec.variants:
             assert result.per_trial[variant]["nmse"].shape[0] == 9
             assert result.curves[variant][0].num_trials == 9
+            for key, rows in result.per_trial[variant].items():
+                np.testing.assert_array_equal(
+                    rows, np.stack([trial[variant][key] for trial in expected]),
+                    strict=True, err_msg=f"{variant} {key}")
 
     def test_too_many_failures_is_library_error(self, monkeypatch):
         def failing(config):
@@ -378,6 +391,61 @@ class TestRunExperiment:
         # the stopping rule that produced the estimates the CSVs pool
         assert metadata["amp_max_iters"] == amp.MAX_ITERS
         assert metadata["amp_convergence_tol"] == amp.CONVERGENCE_TOL
+        # the numeric environment the output bytes may depend on
+        assert metadata["numpy_version"] == np.__version__
+        assert set(metadata["blas"]) == {"name", "version"}
+        assert metadata["blas_thread_env"] == {
+            var: os.environ.get(var) for var in (
+                "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        assert metadata["cpu_count"] == os.cpu_count()
+
+
+@pytest.mark.slow
+def test_per_trial_memory_is_the_counts():
+    # trial outcomes are written into arrays allocated once, with no second
+    # copy: each added trial grows the traced peak by at most 1.5x its
+    # int32 count bytes, 2 variants x (fa and md over the l grid, plus
+    # n_inactive, n_active and iters_used) per slot
+    options = {"num_devices": "40", "pilot_length": "20", "num_blocks": "5",
+               "gamma": "1.0", "noise_variance": "0.1",
+               "se_sample_count": "2000"}
+
+    def peak(trials):
+        spec = spec_from_options({**options, "num_trials": str(trials)})
+        tracemalloc.start()
+        try:
+            run_experiment(spec)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    slots, levels = 5, len(default_l_grid())
+    count_bytes = len(experiment.VARIANTS) * (2 * slots * levels + 3 * slots) * 4
+    growth = (peak(400) - peak(100)) / 300
+    assert growth <= 1.5 * count_bytes, (growth, count_bytes)
+
+
+@pytest.mark.slow
+def test_memoryless_chain_si_matches_nosi():
+    # at persistence = activity rate the previous block carries no
+    # information: the SI log-odds are exactly 0, so si and nosi differ
+    # only by rounding (si blocks run alone, nosi blocks as one wide
+    # batch), by at most one device per block and level
+    spec = spec_from_options({"preset": "fig3-desk", "persistence": "0.1",
+                              "rng_seed": "5", "num_trials": "24",
+                              "se_sample_count": "2000"})
+    assert model.beta_from(0.1, 0.1) == 0.1 == spec.scenario.beta
+    result = run_experiment(spec)
+    assert result.failures == []
+    si, nosi = result.per_trial["si"], result.per_trial["nosi"]
+    for key in ("n_inactive", "n_active"):
+        np.testing.assert_array_equal(si[key], nosi[key])
+    for key in ("fa", "md"):
+        assert np.abs(si[key] - nosi[key]).max() <= 1, key
+    np.testing.assert_allclose(si["nmse"], nosi["nmse"], rtol=1e-12)
+    for a, b in zip(result.se_traces["si"], result.se_traces["nosi"],
+                    strict=True):
+        np.testing.assert_array_equal(a.tau_sq, b.tau_sq)
 
 
 class TestCurves:
