@@ -33,26 +33,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DetectionMetrics:
-    """Aggregate detection quality for one block.
+    """Estimation quality of one block: NMSE over its truly active devices,
+    NaN when it has none.  Error counts come from `sweep_block_counts`."""
 
-    Rates are NaN when their denominator is empty (no truly inactive or
-    no truly active device in the block); such blocks are excluded from
-    cross-trial aggregation.
-    """
-
-    false_alarms: int
-    missed: int
-    num_inactive: int
-    num_active: int
-    p_fa: float
-    p_md: float
     nmse: float
 
 
 @dataclass(frozen=True)
 class DetectionReport:
-    """Per-device test outcomes plus block-level metrics at one `l`; the
-    LLRs it tests are those of its `BlockDetection`."""
+    """Per-device test outcomes at one `l`, plus the block's NMSE; the LLRs
+    it tests are those of its `BlockDetection`."""
 
     decisions: np.ndarray  # (N,) bool
     metrics: DetectionMetrics
@@ -94,31 +84,18 @@ def llr_appendix_oracle(x_tilde: np.ndarray, si: SideInfo,
     return float(log_joint_active - log_joint_inactive)
 
 
-def compute_metrics(decisions: np.ndarray, activity: np.ndarray,
-                    x_hat: np.ndarray | None = None,
-                    x_true: np.ndarray | None = None) -> DetectionMetrics:
-    """False-alarm and missed-detection rates, plus NMSE over true actives.
-
-    A rate whose denominator is zero is reported as NaN; callers exclude
-    such blocks when pooling.
-    """
-    decisions = np.asarray(decisions, dtype=bool)
+def compute_metrics(activity: np.ndarray, x_hat: np.ndarray,
+                    x_true: np.ndarray) -> DetectionMetrics:
+    """NMSE of `x_hat` over the truly active rows of `x_true`."""
     activity = np.asarray(activity, dtype=bool)
-    if decisions.shape != activity.shape:
-        raise InvalidConfig("decisions and activity must align per device")
-    n_inactive = int(np.sum(~activity))
-    n_active = int(np.sum(activity))
-    fa = int(np.sum(decisions & ~activity))
-    md = int(np.sum(~decisions & activity))
-    p_fa = fa / n_inactive if n_inactive > 0 else float("nan")
-    p_md = md / n_active if n_active > 0 else float("nan")
+    if not len(activity) == len(x_hat) == len(x_true):
+        raise InvalidConfig("activity and estimates must align per device")
     nmse = float("nan")
-    if x_hat is not None and x_true is not None and n_active > 0:
+    if np.any(activity):
         err = _row_norm_sq(x_hat[activity] - x_true[activity]).sum()
         ref = _row_norm_sq(x_true[activity]).sum()
         nmse = float(err / ref)
-    return DetectionMetrics(false_alarms=fa, missed=md, num_inactive=n_inactive,
-                            num_active=n_active, p_fa=p_fa, p_md=p_md, nmse=nmse)
+    return DetectionMetrics(nmse=nmse)
 
 
 def block_detection(pseudo_obs: np.ndarray, tau: float, gamma,
@@ -141,10 +118,12 @@ def detect_block(det: BlockDetection, l: float,
                  x_hat: np.ndarray | None = None,
                  x_true: np.ndarray | None = None) -> DetectionReport:
     """Test a prepared block at level `l`: a device is declared active iff
-    its LLR strictly exceeds `l`, so ties resolve inactive."""
-    decisions = det.llr > l
-    metrics = compute_metrics(decisions, det.activity, x_hat, x_true)
-    return DetectionReport(decisions=decisions, metrics=metrics)
+    its LLR strictly exceeds `l`, so ties resolve inactive.  The report's
+    NMSE is that of `x_hat` against `x_true`, NaN without them."""
+    metrics = DetectionMetrics(nmse=float("nan"))
+    if x_hat is not None and x_true is not None:
+        metrics = compute_metrics(det.activity, x_hat, x_true)
+    return DetectionReport(decisions=det.llr > l, metrics=metrics)
 
 
 def sweep_block_counts(det: BlockDetection, l_grid: np.ndarray):

@@ -118,7 +118,7 @@ PRESETS = {
 }
 
 _DEFAULTS = dict(
-    num_antennas=1, num_blocks=1, activity_rate=0.1, persistence=0.1,
+    num_antennas=1, num_blocks=1, activity_rate=0.1,
     noise_variance=1.0, rng_seed=0, num_trials=1, parallelism=1,
     se_sample_count=20_000, placement="gamma", out_dir=None,
     l_grid=default_l_grid(),
@@ -193,7 +193,7 @@ def spec_from_options(options: dict, source: str = "<options>") -> ExperimentSpe
             raise ParseError(f"{source}: field {key!r}: {exc}") from None
 
     violations = []
-    for key in ("num_devices", "pilot_length"):
+    for key in ("num_devices", "pilot_length", "persistence"):
         if key not in converted:
             violations.append(f"missing required field {key!r}")
     if violations:

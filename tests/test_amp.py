@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import siamp
 from siamp import (NonFiniteState, ScenarioConfig, SiAmpError, amp, detector,
                    generate_scenario, pseudo_observations, run_block,
                    run_blocks, run_trial, run_trial_variants,
@@ -614,3 +618,43 @@ class TestAsymptotics:
         assert abs(ratio_c - 1.0) < 0.05
         assert abs(emp_var / result.tau_final ** 2 - 1.0) > 0.1
         assert result.tau_final ** 2 > 2.0 * corrected.tau_final ** 2
+
+
+# prints one sha256 per block of the x_hat and pseudo_obs bytes that
+# run_blocks gives for trial 0 of the fig3-desk preset seed
+_BLOCK_DIGESTS = """
+import hashlib
+from dataclasses import replace
+from siamp import generate_scenario, run_blocks, spec_from_options
+from siamp.experiment import trial_seed
+scenario = spec_from_options({"preset": "fig3-desk"}).scenario
+config = replace(scenario, rng_seed=trial_seed(scenario.rng_seed, 0))
+realization = generate_scenario(config)
+for block in run_blocks(realization.received, realization.pilots, 0.0, config):
+    print(hashlib.sha256(block.x_hat.tobytes()
+                         + block.pseudo_obs.tobytes()).hexdigest())
+"""
+
+
+def _block_digests(blas_threads):
+    src = os.path.dirname(os.path.dirname(siamp.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path,
+           **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                            "MKL_NUM_THREADS"), str(blas_threads))}
+    return subprocess.run([sys.executable, "-c", _BLOCK_DIGESTS], env=env,
+                          check=True, capture_output=True,
+                          text=True).stdout.split()
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 16: the nosi batch's wide matched "
+                          "filter rounds differently on 2 BLAS threads")
+def test_run_blocks_bytes_independent_of_blas_threads():
+    # OpenBLAS caps its threads at the core count, so on one usable CPU
+    # both runs would use one thread and compare nothing
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs 2 usable CPUs: BLAS would run one thread either way")
+    one = _block_digests(1)
+    assert len(one) == 5
+    assert _block_digests(2) == one

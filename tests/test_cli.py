@@ -176,7 +176,7 @@ def test_missing_config_is_error(capsys):
 def test_invalid_config_nonzero_exit(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("num_devices = 10\npilot_length = 5\ngamma = 1\n"
-                    "activity_rate = 1.9\n")
+                    "persistence = 0.1\nactivity_rate = 1.9\n")
     assert main(["simulate", str(path)]) == 2
     assert "activity_rate" in capsys.readouterr().err
 
@@ -193,6 +193,7 @@ def test_negative_seed_is_error(command, source, tmp_path, capsys):
         gamma = "gamma = 1\n" if placement == "gamma" else ""
         path = tmp_path / "negative.cfg"
         path.write_text("num_devices = 10\npilot_length = 5\n"
+                        "persistence = 0.1\n"
                         f"placement = {placement}\n{gamma}rng_seed = -3\n")
         argv = [command, str(path)]
     out = tmp_path / "out"

@@ -73,6 +73,7 @@ class TestParseConfig:
             "num_devices = 60\n"
             "pilot_length = 24\n"
             "gamma = 1.0   # inline comment\n"
+            "persistence = 0.1\n"
             "num_trials = 4\n"
             "l_grid = -5,0,5\n")
         spec = parse_config(path)
@@ -119,8 +120,18 @@ class TestParseConfig:
             parse_config(path)
 
     def test_missing_required_fields(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as exc:
             spec_from_options({"gamma": "1.0"})
+        assert exc.value.violations == [
+            f"missing required field {key!r}"
+            for key in ("num_devices", "pilot_length", "persistence")]
+        # persistence sets what the side information is worth, so no
+        # default stands in for it, even in an otherwise complete config
+        options = desk_options()
+        del options["persistence"]
+        with pytest.raises(ValidationError) as exc:
+            spec_from_options(options)
+        assert exc.value.violations == ["missing required field 'persistence'"]
 
     def test_unknown_preset(self):
         with pytest.raises(ParseError, match="unknown preset"):
@@ -133,7 +144,8 @@ class TestParseConfig:
         assert any("se_sample_count" in v for v in exc.value.violations)
 
     @pytest.mark.parametrize("placement", [{"preset": "fig3-desk"},
-                                           {"gamma": "1.0"}],
+                                           {"gamma": "1.0",
+                                            "persistence": "0.1"}],
                              ids=["annulus", "gamma"])
     def test_count_and_seed_checked_before_gains_are_built(self, placement):
         # a negative device count or seed cannot size or seed the gains:
@@ -407,7 +419,7 @@ def test_per_trial_memory_is_the_counts():
     # int32 count bytes, 2 variants x (fa and md over the l grid, plus
     # n_inactive, n_active and iters_used) per slot
     options = {"num_devices": "40", "pilot_length": "20", "num_blocks": "5",
-               "gamma": "1.0", "noise_variance": "0.1",
+               "persistence": "0.1", "gamma": "1.0", "noise_variance": "0.1",
                "se_sample_count": "2000"}
 
     def peak(trials):
