@@ -11,9 +11,10 @@ __version__ = "0.1.0"
 from .amp import (AmpBlockResult, TrialResult, amp_iterate,
                   pseudo_observations, run_block, run_blocks, run_trial,
                   run_trial_variants)
-from .denoiser import (DenoiserParams, SideInfo, case_log_likelihoods,
-                       denoise_rows, draw_case_pair, log_odds_terms,
-                       oracle_posterior_mean, si_log_odds)
+from .denoiser import (ACTIVE_BEFORE, ACTIVE_NOW, DenoiserParams, SideInfo,
+                       case_log_likelihoods, case_priors, denoise_rows,
+                       draw_case_pair, log_odds_terms, oracle_posterior_mean,
+                       si_log_odds)
 from .detector import (BlockDetection, DetectionMetrics, DetectionReport,
                        RocCurve, aggregate_slot_counts, block_detection,
                        compute_metrics, detect_block, llr_appendix_oracle,

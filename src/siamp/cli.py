@@ -3,7 +3,6 @@
 Subcommands
 -----------
 simulate        full Monte Carlo experiment, all CSV outputs
-roc             experiment, ROC CSV only
 se-trace        state-evolution fixed-point traces as CSV
 denoiser-curve  denoiser magnitude response grid as CSV
 detector-curve  energy-threshold-vs-previous-magnitude grid as CSV
@@ -19,12 +18,16 @@ import sys
 
 import numpy as np
 
+from .amp import VARIANTS, run_trial
+from .denoiser import (DenoiserParams, denoise_rows, draw_case_pair,
+                       oracle_posterior_mean, si_log_odds)
+from .detector import block_detection, llr_appendix_oracle
 from .errors import InvalidConfig, SiAmpError
 from .experiment import (chained_se_traces, denoiser_response_curve,
                          detector_threshold_curve, emit_csv,
-                         read_config_file, roc_table, run_experiment,
-                         se_trace_table, spec_from_options, write_tables)
-from .model import generate_scenario, trace_table
+                         read_config_file, run_experiment, se_trace_table,
+                         spec_from_options, write_tables)
+from .model import beta_from, generate_scenario, trace_table
 from .streams import substream
 
 # parameter family of the response/threshold curve examples
@@ -80,14 +83,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_roc(args) -> int:
-    spec = _load_spec(args)
-    result = run_experiment(spec)
-    _print_paths(write_tables(spec.out_dir or ".",
-                              {"roc": roc_table(result.curves)}))
-    return 0
-
-
 def _cmd_se_trace(args) -> int:
     spec = _load_spec(args)
     _print_paths(write_tables(spec.out_dir or ".", {
@@ -139,7 +134,6 @@ def _cmd_dump_traces(args) -> int:
 
 
 def _cmd_amp_trace(args) -> int:
-    from .amp import run_trial
     spec = _load_spec(args)
     trial = run_trial(spec.scenario, variant=args.variant)
     rows = [(j + 1, t + 1, block.tau_trace[t + 1], block.residual_fro_trace[t],
@@ -153,11 +147,6 @@ def _cmd_amp_trace(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    from .denoiser import (DenoiserParams, denoise_rows, draw_case_pair,
-                           oracle_posterior_mean, si_log_odds)
-    from .detector import block_detection, llr_appendix_oracle
-    from .model import beta_from
-
     seed = args.seed if args.seed is not None else 0
     if args.samples < 1 or seed < 0:
         raise InvalidConfig("--samples must be at least 1 and --seed "
@@ -214,8 +203,7 @@ def main(argv=None) -> int:
         description="SI-aided MMV-AMP activity detection experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn in (("simulate", _cmd_simulate), ("roc", _cmd_roc),
-                     ("se-trace", _cmd_se_trace),
+    for name, fn in (("simulate", _cmd_simulate), ("se-trace", _cmd_se_trace),
                      ("dump-traces", _cmd_dump_traces)):
         p = sub.add_parser(name)
         _add_common(p)
@@ -223,7 +211,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("amp-trace")
     _add_common(p)
-    p.add_argument("--variant", choices=("si", "nosi"), default="si")
+    p.add_argument("--variant", choices=VARIANTS, default="si")
     p.set_defaults(fn=_cmd_amp_trace)
 
     p = sub.add_parser("denoiser-curve")

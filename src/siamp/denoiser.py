@@ -9,6 +9,7 @@ one posterior log-odds.  `log_odds_terms` computes its data terms for
 both; `si_log_odds` computes its side-information term, which is fixed
 for a whole block, once per block for both.
 
+The module owns the four-case two-block activity model (`case_priors`).
 `oracle_posterior_mean` is an independent implementation of the same
 posterior mean built directly from the four-case Gaussian-mixture
 decomposition; it exists to cross-check the closed form and shares no
@@ -22,6 +23,9 @@ import numpy as np
 from .errors import InvalidConfig
 
 __all__ = [
+    "ACTIVE_NOW",
+    "ACTIVE_BEFORE",
+    "case_priors",
     "DenoiserParams",
     "SideInfo",
     "log_odds_terms",
@@ -31,6 +35,26 @@ __all__ = [
     "oracle_posterior_mean",
     "draw_case_pair",
 ]
+
+
+# The two-block activity cases, previous->current: active->active,
+# active->inactive, inactive->active, inactive->inactive.
+ACTIVE_BEFORE = np.array([True, True, False, False])
+ACTIVE_NOW = np.array([True, False, True, False])
+ACTIVE_BEFORE.flags.writeable = ACTIVE_NOW.flags.writeable = False
+
+
+def case_priors(lam: float, alpha: float, beta: float) -> np.ndarray:
+    """Priors of the four cases in order; `alpha` and `beta` are P(active
+    now | active, inactive before).  Rejects by name a `lam` outside (0, 1)
+    or an `alpha` or `beta` outside [0, 1]."""
+    if not 0.0 < lam < 1.0:
+        raise InvalidConfig(f"lam must lie in (0, 1), got {lam}")
+    for name, p in (("alpha", alpha), ("beta", beta)):
+        if not 0.0 <= p <= 1.0:
+            raise InvalidConfig(f"{name} must lie in [0, 1], got {p}")
+    return np.array([alpha * lam, (1.0 - alpha) * lam,
+                     beta * (1.0 - lam), (1.0 - beta) * (1.0 - lam)])
 
 
 @dataclass(frozen=True)
@@ -51,6 +75,7 @@ class DenoiserParams:
             raise InvalidConfig(f"gamma must be nonnegative, got {self.gamma}")
         if self.num_antennas < 1:
             raise InvalidConfig("num_antennas must be a positive count")
+        case_priors(self.lam, self.alpha, self.beta)
 
 
 @dataclass(frozen=True)
@@ -178,22 +203,20 @@ def case_log_likelihoods(x_tilde: np.ndarray, si: SideInfo,
     """Log joint densities of (current, previous) pseudo-observations under
     the four two-block activity cases, including the case priors.
 
-    Case order: active->active, active->inactive, inactive->active,
-    inactive->inactive.  A case with prior zero gets -inf.
+    Cases in the order of `case_priors`.  A case with prior zero gets -inf.
     """
     m = params.num_antennas
     tau_sq = params.tau ** 2
     taup_sq = si.tau_prev ** 2
-    lam, alpha, beta, gamma = params.lam, params.alpha, params.beta, params.gamma
-    cur_active = _log_cgauss(x_tilde, gamma + tau_sq, m)
-    cur_inactive = _log_cgauss(x_tilde, tau_sq, m)
-    prev_active = _log_cgauss(si.pseudo_obs, gamma + taup_sq, m)
-    prev_inactive = _log_cgauss(si.pseudo_obs, taup_sq, m)
-    priors = (alpha * lam, (1.0 - alpha) * lam,
-              beta * (1.0 - lam), (1.0 - beta) * (1.0 - lam))
-    likes = (cur_active + prev_active, cur_inactive + prev_active,
-             cur_active + prev_inactive, cur_inactive + prev_inactive)
-    return np.array([_log_or_neg_inf(p) + l for p, l in zip(priors, likes)])
+    gamma = params.gamma
+    cur = np.where(ACTIVE_NOW, _log_cgauss(x_tilde, gamma + tau_sq, m),
+                   _log_cgauss(x_tilde, tau_sq, m))
+    prev = np.where(ACTIVE_BEFORE,
+                    _log_cgauss(si.pseudo_obs, gamma + taup_sq, m),
+                    _log_cgauss(si.pseudo_obs, taup_sq, m))
+    with np.errstate(divide="ignore"):  # log(0) = -inf for a prior of zero
+        log_priors = np.log(case_priors(params.lam, params.alpha, params.beta))
+    return log_priors + (cur + prev)
 
 
 def oracle_posterior_mean(x_tilde: np.ndarray, si: SideInfo,
@@ -208,7 +231,7 @@ def oracle_posterior_mean(x_tilde: np.ndarray, si: SideInfo,
     """
     ll = case_log_likelihoods(x_tilde, si, params)
     with np.errstate(invalid="ignore"):
-        p_active_now = np.exp(np.logaddexp(ll[0], ll[2])
+        p_active_now = np.exp(np.logaddexp.reduce(ll[ACTIVE_NOW])
                               - np.logaddexp.reduce(ll))
     if not np.isfinite(p_active_now):  # both log-sum-exps at -inf cannot happen
         raise InvalidConfig("degenerate case likelihoods")
@@ -221,12 +244,10 @@ def draw_case_pair(rng: np.random.Generator, params: DenoiserParams,
     """(current observation, side information) for one device, drawn from
     the four-case two-block model: the case from its prior, then the real
     and the imaginary parts of both observations."""
-    lam, alpha, beta = params.lam, params.alpha, params.beta
-    case = rng.choice(4, p=[alpha * lam, (1 - alpha) * lam,
-                            beta * (1 - lam), (1 - beta) * (1 - lam)])
+    case = rng.choice(4, p=case_priors(params.lam, params.alpha, params.beta))
     m = params.num_antennas
-    var_now = params.gamma + params.tau ** 2 if case in (0, 2) else params.tau ** 2
-    var_prev = params.gamma + tau_prev ** 2 if case in (0, 1) else tau_prev ** 2
+    var_now = params.tau ** 2 + (params.gamma if ACTIVE_NOW[case] else 0.0)
+    var_prev = tau_prev ** 2 + (params.gamma if ACTIVE_BEFORE[case] else 0.0)
     z = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
     x = np.sqrt(var_now / 2) * z[0]
     si = SideInfo(pseudo_obs=np.sqrt(var_prev / 2) * z[1], tau_prev=tau_prev)

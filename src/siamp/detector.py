@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import (DenoiserParams, SideInfo, _log_cgauss,
-                       _log_or_neg_inf, _row_norm_sq, log_odds_terms)
+from .denoiser import (ACTIVE_NOW, DenoiserParams, SideInfo, _row_norm_sq,
+                       case_log_likelihoods, log_odds_terms)
 from .errors import InvalidConfig
 
 __all__ = [
@@ -62,25 +62,14 @@ def llr_appendix_oracle(x_tilde: np.ndarray, si: SideInfo,
     """LLR via the unsimplified four-case conditional densities.
 
     Forms p(observations | active now) and p(observations | inactive now)
-    as explicit two-case Gaussian mixtures and takes the log ratio; kept
-    free of the simplified threshold algebra so it can vouch for it.
+    as explicit two-case Gaussian mixtures of `case_log_likelihoods` and
+    takes the log ratio; kept free of the simplified threshold algebra so
+    it can vouch for it.
     """
-    m = params.num_antennas
-    tau_sq = params.tau ** 2
-    taup_sq = si.tau_prev ** 2
-    lam, alpha, beta, gamma = params.lam, params.alpha, params.beta, params.gamma
-    cur_active = _log_cgauss(x_tilde, gamma + tau_sq, m)
-    cur_inactive = _log_cgauss(x_tilde, tau_sq, m)
-    prev_active = _log_cgauss(si.pseudo_obs, gamma + taup_sq, m)
-    prev_inactive = _log_cgauss(si.pseudo_obs, taup_sq, m)
-    log_joint_active = np.logaddexp(
-        _log_or_neg_inf(alpha * lam) + cur_active + prev_active,
-        _log_or_neg_inf(beta * (1.0 - lam)) + cur_active + prev_inactive,
-    ) - np.log(lam)
-    log_joint_inactive = np.logaddexp(
-        _log_or_neg_inf((1.0 - alpha) * lam) + cur_inactive + prev_active,
-        _log_or_neg_inf((1.0 - beta) * (1.0 - lam)) + cur_inactive + prev_inactive,
-    ) - np.log(1.0 - lam)
+    ll = case_log_likelihoods(x_tilde, si, params)
+    log_joint_active = np.logaddexp.reduce(ll[ACTIVE_NOW]) - np.log(params.lam)
+    log_joint_inactive = (np.logaddexp.reduce(ll[~ACTIVE_NOW])
+                          - np.log(1.0 - params.lam))
     return float(log_joint_active - log_joint_inactive)
 
 
@@ -195,7 +184,7 @@ def _per_trial_rates(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
 
 
 def rate_stderr(per_trial_rates: np.ndarray) -> np.ndarray:
-    """Standard error of the mean rate from per-trial variation."""
+    """Standard error of the mean along axis 0, from its non-NaN entries."""
     valid = np.sum(~np.isnan(per_trial_rates), axis=0)
     with warnings.catch_warnings(), np.errstate(invalid="ignore",
                                                 divide="ignore"):

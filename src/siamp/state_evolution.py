@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import SideInfo, denoise_rows, si_log_odds
+from .denoiser import (ACTIVE_BEFORE, ACTIVE_NOW, SideInfo, case_priors,
+                       denoise_rows, si_log_odds)
+from .detector import rate_stderr
 from .errors import InvalidConfig
 from .model import ScenarioConfig, count_violation
 
@@ -51,6 +53,7 @@ class SeParams:
             raise InvalidConfig("noise_variance and load must be positive")
         if self.tau_prev is not None and not self.tau_prev > 0.0:
             raise InvalidConfig("tau_prev must be positive when given")
+        case_priors(self.lam, self.alpha, self.beta)
 
     @classmethod
     def from_scenario(cls, config: ScenarioConfig, sample_count: int,
@@ -91,21 +94,15 @@ def draw_samples(params: SeParams, rng: np.random.Generator):
         return (rng.standard_normal((s, m))
                 + 1j * rng.standard_normal((s, m))) / np.sqrt(2.0)
 
-    # case = 2*(inactive before) + (inactive now)
-    priors = np.array([
-        params.alpha * params.lam,
-        (1.0 - params.alpha) * params.lam,
-        params.beta * (1.0 - params.lam),
-        (1.0 - params.beta) * (1.0 - params.lam),
-    ])
-    case = rng.choice(4, size=s, p=priors)
+    case = rng.choice(4, size=s,
+                      p=case_priors(params.lam, params.alpha, params.beta))
     gamma = rng.choice(params.gammas, size=s)
     scale = np.sqrt(gamma)[:, None]
-    x_true = np.where((case % 2 == 0)[:, None], scale * unit_normal(), 0.0)
+    x_true = np.where(ACTIVE_NOW[case, None], scale * unit_normal(), 0.0)
     noise = unit_normal()
     if params.tau_prev is None:
         return gamma, x_true, noise, 0.0
-    x_prev = np.where((case < 2)[:, None], scale * unit_normal(), 0.0)
+    x_prev = np.where(ACTIVE_BEFORE[case, None], scale * unit_normal(), 0.0)
     prev = SideInfo(pseudo_obs=x_prev + params.tau_prev * unit_normal(),
                     tau_prev=params.tau_prev)
     si_term = si_log_odds(prev, gamma, params.alpha, params.beta)
@@ -118,13 +115,13 @@ def se_step(tau_sq: float, params: SeParams, samples):
     if not tau_sq > 0.0:
         raise InvalidConfig(f"tau_sq must be positive, got {tau_sq}")
     gamma, x_true, noise, si_term = samples
-    s, m = x_true.shape
+    m = x_true.shape[1]
     tau = float(np.sqrt(tau_sq))
     x_tilde = x_true + tau * noise
     estimates, _ = denoise_rows(x_tilde, gamma, tau, params.lam, si_term)
     per_sample_mse = np.sum(np.abs(estimates - x_true) ** 2, axis=-1) / m
     next_tau_sq = params.noise_variance + params.load * float(np.mean(per_sample_mse))
-    stderr = params.load * float(np.std(per_sample_mse, ddof=1) / np.sqrt(s))
+    stderr = params.load * float(rate_stderr(per_sample_mse))
     return next_tau_sq, stderr
 
 

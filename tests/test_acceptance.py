@@ -95,10 +95,11 @@ def test_a2_detector_oracle_equivalence():
         ref = llr_appendix_oracle(x_t, si, params)
         worst_llr = max(worst_llr, abs(llr - ref) / max(abs(ref), 1.0))
         level = float(rng.uniform(-10, 10))
-        if abs(llr - level) < 1e-9:
+        if abs(ref - level) < 1e-9:
             continue
         n_checked += 1
-        if bool(detect_block(det, level).decisions[0]) != (llr > level):
+        # the detector's decision against the oracle's own
+        if bool(detect_block(det, level).decisions[0]) != (ref > level):
             disagreements += 1
     elapsed = time.time() - start
     report("A2 detector-oracle equivalence",

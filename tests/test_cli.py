@@ -40,6 +40,10 @@ def test_simulate_writes_outputs(tiny_config, tmp_path, capsys):
     assert code == 0
     for name in SIMULATE_OUTPUTS:
         assert (out / name).exists()
+    with open(out / "roc.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {row["variant"] for row in rows} == {"si", "nosi"}
+    assert len(rows) == 2 * 2 * 17  # variants x blocks x levels
     stdout = capsys.readouterr().out
     assert "completed 3 trials" in stdout
     assert re.search(r"^block runs stopped at 50 iterations: si \d/6, "
@@ -67,16 +71,6 @@ def test_simulate_at_extreme_persistence(tiny_config, tmp_path, persistence):
                  "--trials", "2"]) == 0
     for name in SIMULATE_OUTPUTS:
         assert (out / name).exists()
-
-
-def test_roc_subcommand(tiny_config, tmp_path):
-    out = tmp_path / "roc_out"
-    assert main(["roc", str(tiny_config), "--out-dir", str(out),
-                 "--trials", "2"]) == 0
-    with open(out / "roc.csv") as fh:
-        rows = list(csv.DictReader(fh))
-    assert {row["variant"] for row in rows} == {"si", "nosi"}
-    assert len(rows) == 2 * 2 * 17
 
 
 def test_se_trace_subcommand(tiny_config, tmp_path):
@@ -318,7 +312,7 @@ def test_failed_trials_are_error(tiny_config, tmp_path, capsys, monkeypatch):
 
 def test_preset_flag(tmp_path):
     out = tmp_path / "preset_out"
-    code = main(["roc", "--preset", "fig3-desk", "--trials", "2",
+    code = main(["simulate", "--preset", "fig3-desk", "--trials", "2",
                  "--out-dir", str(out), "--seed", "9"])
     assert code == 0
     assert os.path.exists(out / "roc.csv")

@@ -5,9 +5,10 @@ import pytest
 
 from scipy.special import expit, logsumexp
 
-from siamp import (DenoiserParams, InvalidConfig, SideInfo, beta_from,
-                   case_log_likelihoods, denoise_rows, draw_case_pair,
-                   log_odds_terms, oracle_posterior_mean, si_log_odds)
+from siamp import (ACTIVE_BEFORE, ACTIVE_NOW, DenoiserParams, InvalidConfig,
+                   SideInfo, beta_from, case_log_likelihoods, case_priors,
+                   denoise_rows, draw_case_pair, log_odds_terms,
+                   oracle_posterior_mean, si_log_odds)
 
 # parameter family of the response-curve examples
 FIG_FAMILY = dict(gamma=1e-8, tau=2e-6, lam=0.1, alpha=0.91, beta=0.01)
@@ -336,6 +337,26 @@ class TestCasePosterior:
             total = np.exp(ll).sum()
             direct = _direct_total_density(x, si, params)
             assert total == pytest.approx(direct, rel=1e-10)
+
+
+class TestCasePriors:
+    @pytest.mark.parametrize("lam", [1e-3, 0.1, 0.3, 0.5])
+    @pytest.mark.parametrize("alpha", [0.0, 0.46, 0.91, 1.0])
+    def test_stationary_marginals(self, lam, alpha):
+        # with beta from the stationarity constraint, the device is active
+        # with probability lam in both blocks
+        priors = case_priors(lam, alpha, beta_from(lam, alpha))
+        assert priors.sum() == pytest.approx(1.0, rel=1e-15)
+        assert priors[ACTIVE_NOW].sum() == pytest.approx(lam, rel=1e-15)
+        assert priors[ACTIVE_BEFORE].sum() == pytest.approx(lam, rel=1e-15)
+
+    @pytest.mark.parametrize("key, value", [
+        ("lam", 1.2), ("lam", 0.0), ("lam", 1.0), ("alpha", 1.5),
+        ("alpha", np.nan), ("beta", -0.2)])
+    def test_params_reject_out_of_range_probability(self, key, value):
+        # constructed without complaint, and the first draw failed in numpy
+        with pytest.raises(InvalidConfig, match=f"{key} must lie in"):
+            make_params(**{key: value})
 
 
 def _direct_total_density(x, si, params):

@@ -140,6 +140,14 @@ class TestFixedPoint:
             make_params(**{key: value})
         make_params(**{key: np.int64(2000 if key == "sample_count" else 1)})
 
+    @pytest.mark.parametrize("key, value", [
+        ("lam", 1.2), ("lam", 0.0), ("alpha", 1.5), ("alpha", np.nan),
+        ("beta", -0.2), ("beta", 1.5)])
+    def test_probabilities_must_be_in_range(self, key, value):
+        # constructed without complaint, and the draw failed in numpy
+        with pytest.raises(InvalidConfig, match=f"{key} must lie in"):
+            make_params(**{key: value})
+
     def test_nonconvergence_flagged(self, monkeypatch):
         monkeypatch.setattr(state_evolution, "REL_TOL", 0.0)
         monkeypatch.setattr(state_evolution, "MAX_STEPS", 5)
