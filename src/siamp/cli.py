@@ -46,8 +46,10 @@ def _load_spec(args):
     else:
         raise SiAmpError("either a config file or --preset is required")
     # command-line values are typed already and pass through unconverted
+    # only simulate has --trials and --parallelism
     flags = {"preset": args.preset, "rng_seed": args.seed,
-             "num_trials": args.trials, "parallelism": args.parallelism,
+             "num_trials": getattr(args, "trials", None),
+             "parallelism": getattr(args, "parallelism", None),
              "out_dir": args.out_dir}
     options.update({k: v for k, v in flags.items() if v is not None})
     return spec_from_options(options, source=source)
@@ -59,9 +61,7 @@ def _add_common(parser):
     parser.add_argument("--preset", default=None,
                         help="named preset instead of a config file")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--trials", type=int, default=None)
     parser.add_argument("--out-dir", default=None)
-    parser.add_argument("--parallelism", type=int, default=None)
 
 
 def _print_paths(paths):
@@ -203,7 +203,13 @@ def main(argv=None) -> int:
         description="SI-aided MMV-AMP activity detection experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn in (("simulate", _cmd_simulate), ("se-trace", _cmd_se_trace),
+    p = sub.add_parser("simulate")
+    _add_common(p)
+    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--parallelism", type=int, default=None)
+    p.set_defaults(fn=_cmd_simulate)
+
+    for name, fn in (("se-trace", _cmd_se_trace),
                      ("dump-traces", _cmd_dump_traces)):
         p = sub.add_parser(name)
         _add_common(p)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig
+from .model import count_violation
 
 __all__ = [
     "ACTIVE_NOW",
@@ -73,8 +74,10 @@ class DenoiserParams:
             raise InvalidConfig(f"tau must be positive, got {self.tau}")
         if not self.gamma >= 0.0:
             raise InvalidConfig(f"gamma must be nonnegative, got {self.gamma}")
-        if self.num_antennas < 1:
-            raise InvalidConfig("num_antennas must be a positive count")
+        bad = count_violation("num_antennas", self.num_antennas, 1,
+                              "num_antennas must be a positive count")
+        if bad:
+            raise InvalidConfig(bad)
         case_priors(self.lam, self.alpha, self.beta)
 
 

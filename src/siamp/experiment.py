@@ -262,6 +262,14 @@ def trial_seed(master_seed: int, index: int) -> int:
     return int(state[0] >> 1)
 
 
+def count_dtype(bound: int) -> np.dtype:
+    """The narrowest signed integer type that holds twice `bound`, so the
+    sum or the paired difference of two arrays of counts up to `bound`
+    can neither overflow nor wrap."""
+    return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
+                if np.iinfo(t).max >= 2 * bound)
+
+
 def _run_trial_counts(args):
     """Worker: one trial, both variants, reduced to per-slot arrays keyed
     and shaped as in `AggregateResult.per_trial` without the trial axis.
@@ -275,18 +283,18 @@ def _run_trial_counts(args):
     except SiAmpError as exc:
         return index, None, repr(exc)
     out = {}
+    counts_dtype = count_dtype(config.num_devices)
     for trial in trials:
         counts = [sweep_block_counts(det, spec.l_grid)
                   for det in trial.detections]
-        # every count is at most num_devices (MAX_ITERS for iterations)
-        fa, md, n_inactive, n_active = (np.array(c, dtype=np.int32)
+        fa, md, n_inactive, n_active = (np.array(c, dtype=counts_dtype)
                                         for c in zip(*counts))
         out[trial.variant] = {
             "fa": fa, "md": md, "n_inactive": n_inactive, "n_active": n_active,
             "nmse": np.array([report.metrics.nmse for report in trial.reports]),
             "tau_final": np.array([block.tau_final for block in trial.blocks]),
             "iters_used": np.array([block.iters_used for block in trial.blocks],
-                                   dtype=np.int32),
+                                   dtype=count_dtype(amp.MAX_ITERS)),
             "converged": np.array([block.converged for block in trial.blocks]),
         }
     return index, out, None
@@ -297,11 +305,14 @@ class AggregateResult:
     """Cross-trial aggregate of one experiment.
 
     `per_trial[variant]` keeps the per-trial arrays every table is pooled
-    from, one row per completed trial in trial order: int32 sweep counts
-    `fa`/`md` of shape (trials, slots, len(l_grid)), int32 `n_inactive`
-    and `n_active` and float `nmse` and `tau_final` of shape (trials,
-    slots); also each block's int32 `iters_used` and bool `converged`, of
-    the same shape, from the AMP stopping rule.  Variants share scenario
+    from, one row per completed trial in trial order: sweep counts
+    `fa`/`md` of shape (trials, slots, len(l_grid)), `n_inactive` and
+    `n_active` and float `nmse` and `tau_final` of shape (trials, slots);
+    also each block's `iters_used` and bool `converged`, of the same
+    shape, from the AMP stopping rule.  The integer arrays have the
+    `count_dtype` of their bound, `num_devices` (`amp.MAX_ITERS` for
+    `iters_used`): int16 counts and int8 iterations at desk and paper
+    scale.  Variants share scenario
     substreams, so paired per-trial comparisons across variants or slots
     are valid.
     """
@@ -576,6 +587,16 @@ def write_tables(out_dir, tables: dict) -> dict:
     return paths
 
 
+def _median(values) -> float:
+    """`np.median`'s value, by its own arithmetic (the middle entry, or the
+    mean of the middle two), without the `numpy.ma` import it makes on
+    first use."""
+    ordered = np.sort(values)
+    mid = len(ordered) // 2
+    return float(ordered[mid] if len(ordered) % 2
+                 else np.mean(ordered[mid - 1:mid + 1]))
+
+
 def emit_csv(result: AggregateResult, out_dir) -> dict:
     """Write the run's ROC, NMSE, SE-trace and curve CSVs plus a metadata
     JSON; returns {name: path}.
@@ -586,7 +607,7 @@ def emit_csv(result: AggregateResult, out_dir) -> dict:
     # response/threshold grids at the experiment's own operating point:
     # median channel gain and the converged slot-1 noise level
     scenario = result.spec.scenario
-    gamma = float(np.median(scenario.path_losses))
+    gamma = _median(scenario.path_losses)
     tau = float(np.sqrt(result.se_traces["nosi"][0].fixed_point))
     scale = np.sqrt(gamma)
     curve_kw = dict(gamma=gamma, tau=tau, tau_prev=tau,

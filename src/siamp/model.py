@@ -35,6 +35,11 @@ MAX_GAIN_TO_NOISE = 2.0 ** 900
 # intermediates go subnormal and that is lost
 MIN_POWER = 2.0 ** -1000
 
+# most normal variates drawn per `standard_normal` call: a paper-scale pilot
+# matrix is drawn 16 rows at a time in place of a full-size temporary, while
+# every channel and noise draw stays one call
+DRAW_CHUNK = 2 ** 16
+
 
 def beta_from(lam: float, alpha: float) -> float:
     """Activation probability of a previously inactive device.
@@ -192,12 +197,22 @@ class ScenarioRealization:
 
 
 def _complex_gaussian(rng: np.random.Generator, shape, variance) -> np.ndarray:
-    """I.i.d. CN(0, variance) entries; variance may broadcast over shape."""
-    scale = np.sqrt(np.asarray(variance, dtype=float) / 2.0)
+    """I.i.d. CN(0, variance) entries; variance may broadcast over shape.
+
+    All real parts are drawn before all imaginary parts, in row chunks of
+    at most `DRAW_CHUNK` entries, so the stream is used up exactly as by
+    one `standard_normal(shape)` call per part, without a temporary of
+    the full shape.
+    """
+    scale = np.broadcast_to(np.sqrt(np.asarray(variance, dtype=float) / 2.0),
+                            shape)
     out = np.empty(shape, dtype=complex)
-    # real parts are drawn before imaginary parts
-    np.multiply(scale, rng.standard_normal(shape), out=out.real)
-    np.multiply(scale, rng.standard_normal(shape), out=out.imag)
+    rows = max(1, DRAW_CHUNK // max(1, math.prod(shape[1:])))
+    for part in (out.real, out.imag):
+        for start in range(0, shape[0], rows):
+            chunk = slice(start, start + rows)
+            np.multiply(scale[chunk], rng.standard_normal(part[chunk].shape),
+                        out=part[chunk])
     return out
 
 

@@ -18,7 +18,7 @@ from .denoiser import (ACTIVE_BEFORE, ACTIVE_NOW, SideInfo, case_priors,
                        denoise_rows, si_log_odds)
 from .detector import rate_stderr
 from .errors import InvalidConfig
-from .model import ScenarioConfig, count_violation
+from .model import ScenarioConfig, count_violation, power_violation
 
 __all__ = ["SeParams", "SeTrace", "draw_samples", "se_step", "se_fixed_point"]
 
@@ -46,7 +46,9 @@ class SeParams:
         for bad in (count_violation("sample_count", self.sample_count, 2,
                                     "sample_count must be >= 2"),
                     count_violation("num_antennas", self.num_antennas, 1,
-                                    "num_antennas must be a positive count")):
+                                    "num_antennas must be a positive count"),
+                    power_violation("gammas", self.gammas, np.inf)
+                    if self.gammas.size else "gammas must be nonempty"):
             if bad:
                 raise InvalidConfig(bad)
         if not self.noise_variance > 0.0 or not self.load > 0.0:

@@ -318,6 +318,43 @@ def test_preset_flag(tmp_path):
     assert os.path.exists(out / "roc.csv")
 
 
+@pytest.mark.parametrize("command", ["se-trace", "dump-traces", "amp-trace"])
+@pytest.mark.parametrize("flag", ["--trials", "--parallelism"])
+def test_trial_flags_only_for_simulate(command, flag, tiny_config, tmp_path,
+                                       capsys):
+    # the other commands run no trials; the flag was read, then ignored
+    # (--parallelism) or checked against a run that never happens (--trials)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(tiny_config), flag, "2", "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_takes_trial_flags(tiny_config, tmp_path, capsys):
+    assert main(["simulate", str(tiny_config), "--trials", "2",
+                 "--parallelism", "1", "--out-dir", str(tmp_path)]) == 0
+    assert "completed 2 trials" in capsys.readouterr().out
+
+
+def test_simulate_leaves_numpy_ma_unloaded(tiny_config, tmp_path):
+    # np.median imports numpy.ma (about 0.5 MB) on first use; a run takes
+    # its median without it
+    code = ("import sys\n"
+            "from siamp.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(siamp.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code, "simulate",
+                          str(tiny_config), "--out-dir", str(tmp_path)],
+                         env=env, check=True, capture_output=True,
+                         text=True).stdout
+    assert out.splitlines()[-1] == "False"
+
+
 def test_runtime_imports_no_scipy():
     # numpy is the one runtime dependency: the CLI and a preset spec load
     # no scipy module in a fresh interpreter

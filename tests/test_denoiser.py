@@ -358,6 +358,14 @@ class TestCasePriors:
         with pytest.raises(InvalidConfig, match=f"{key} must lie in"):
             make_params(**{key: value})
 
+    @pytest.mark.parametrize("value, message", [
+        (1.5, "must be an integer, got 1.5"), (True, "must be an integer"),
+        (0, "must be a positive count")])
+    def test_params_reject_bad_antenna_count(self, value, message):
+        # 1.5 constructed, and draw_case_pair then failed in numpy
+        with pytest.raises(InvalidConfig, match=f"num_antennas {message}"):
+            make_params(m=value)
+
 
 def _direct_total_density(x, si, params):
     """Plain-domain four-case mixture density, no shared helpers."""

@@ -290,9 +290,11 @@ class TestRunExperiment:
                 assert data["iters_used"].shape == (3, 3)
                 assert data["converged"].dtype == bool
                 # counts are at most num_devices (MAX_ITERS for iterations)
-                for key in ("fa", "md", "n_inactive", "n_active",
-                            "iters_used"):
-                    assert data[key].dtype == np.int32, key
+                for key in ("fa", "md", "n_inactive", "n_active"):
+                    assert data[key].dtype == experiment.count_dtype(
+                        spec.scenario.num_devices), key
+                assert data["iters_used"].dtype == experiment.count_dtype(
+                    amp.MAX_ITERS)
                 assert data["iters_used"][k].tolist() == [
                     block.iters_used for block in trial.blocks]
                 assert data["converged"][k].tolist() == [
@@ -410,6 +412,32 @@ class TestRunExperiment:
             var: os.environ.get(var) for var in (
                 "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
         assert metadata["cpu_count"] == os.cpu_count()
+
+
+@pytest.mark.parametrize("bound, dtype", [
+    (0, np.int8), (63, np.int8), (64, np.int16),
+    (1000, np.int16), (4000, np.int16), (16383, np.int16),
+    (16384, np.int32), (2 ** 30 - 1, np.int32), (2 ** 30, np.int64)])
+def test_count_dtype_holds_twice_the_bound(bound, dtype):
+    # the narrowest signed type in which the sum and the paired difference
+    # of two counts up to the bound stay exact
+    assert experiment.count_dtype(bound) == dtype
+    counts = np.array([0, bound], dtype=experiment.count_dtype(bound))
+    assert (counts + counts)[1] == 2 * bound
+    assert (counts - counts[::-1]).tolist() == [-bound, bound]
+
+
+def test_desk_and_paper_counts_are_int16():
+    for preset in ("fig3-desk", "paper-fig3"):
+        spec = spec_from_options({"preset": preset})
+        assert experiment.count_dtype(spec.scenario.num_devices) == np.int16
+
+
+@pytest.mark.parametrize("size", [1, 2, 999, 1000])
+def test_median_is_numpy_median(size):
+    # np.median's value by its own arithmetic, for odd and even sizes
+    gains = annulus_gains(size, substream(4, "placement"))
+    assert experiment._median(gains) == float(np.median(gains))
 
 
 @pytest.mark.slow

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from siamp import (InvalidConfig, ScenarioConfig, beta_from,
                    draw_pilot_matrix, generate_scenario, path_loss_linear,
                    sample_activity_trace, synthesize_block)
 from siamp.errors import DimensionMismatch
-from siamp.model import draw_block_truth
+from siamp.model import DRAW_CHUNK, _complex_gaussian, draw_block_truth
 from siamp.streams import substream
 
 
@@ -150,6 +152,51 @@ class TestPilotsAndSynthesis:
         pilots = draw_pilot_matrix(8, 6, rng)
         with pytest.raises(DimensionMismatch):
             synthesize_block(truth, pilots, 0.1, rng)
+
+
+def two_call_gaussian(rng, shape, variance):
+    """The draw as one `standard_normal` call per part, no chunks."""
+    scale = np.sqrt(np.asarray(variance, dtype=float) / 2.0)
+    out = np.empty(shape, dtype=complex)
+    out.real = scale * rng.standard_normal(shape)
+    out.imag = scale * rng.standard_normal(shape)
+    return out
+
+
+class TestChunkedDraw:
+    @pytest.mark.parametrize("shape", [
+        (16, 1000),  # below DRAW_CHUNK entries: one call per part
+        (150, 1000),  # 3 chunks of 65 rows, the last one 20 rows
+        (600, 4000),  # paper-fig3 pilots: 38 chunks of 16 rows, the last 8
+        (3, DRAW_CHUNK + 1),  # a row longer than a chunk: one row per call
+        (4000, 1), (4000, 2), (600, 1)])  # channels and noise
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_equals_two_call_draw(self, shape, per_row):
+        variance = (np.linspace(0.5, 2.0, shape[0])[:, None] if per_row
+                    else 1.0 / 600)
+        ours, theirs = substream(3, "draw"), substream(3, "draw")
+        drawn = _complex_gaussian(ours, shape, variance)
+        expected = two_call_gaussian(theirs, shape, variance)
+        # bit for bit, and the generator is left where the two calls leave it
+        assert drawn.shape == expected.shape
+        assert drawn.tobytes() == expected.tobytes()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_paper_scale_peak_is_the_pilots(self):
+        # the pilot matrix is drawn without a full-size float temporary
+        # (half its bytes): the traced peak of a paper-fig3 scenario stays
+        # within 2 MiB of the pilots themselves
+        config = desk_config(num_devices=4000, pilot_length=600,
+                             num_antennas=1, num_blocks=10,
+                             path_losses=np.full(4000, 1.0))
+        tracemalloc.start()
+        try:
+            scenario = generate_scenario(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scenario.pilots.nbytes == 600 * 4000 * 16
+        assert peak < scenario.pilots.nbytes + 2 * 2 ** 20, peak
 
 
 class TestScenario:

@@ -140,6 +140,13 @@ class TestFixedPoint:
             make_params(**{key: value})
         make_params(**{key: np.int64(2000 if key == "sample_count" else 1)})
 
+    @pytest.mark.parametrize("gain", [-1.0, np.inf])
+    def test_gains_must_be_finite_and_positive(self, gain):
+        # such a gain constructed, and the draw then failed in numpy
+        with pytest.raises(InvalidConfig,
+                           match="gammas must be finite and positive"):
+            make_params(gammas=np.array([1.0, gain]))
+
     @pytest.mark.parametrize("key, value", [
         ("lam", 1.2), ("lam", 0.0), ("alpha", 1.5), ("alpha", np.nan),
         ("beta", -0.2), ("beta", 1.5)])
