@@ -241,26 +241,11 @@ class TrialResult:
     reports: list[detector.DetectionReport] = field(default_factory=list)
 
 
-def _score(config: model.ScenarioConfig,
-           scenario: model.ScenarioRealization, variant: str,
-           blocks: list[AmpBlockResult], si_terms: list) -> TrialResult:
-    """Detect every block's activity from its estimate, with the
-    side-information term its estimate used, and score it at l = 0."""
-    detections, reports = [], []
-    for block, truth, si_term in zip(blocks, scenario.blocks, si_terms):
-        det = detector.block_detection(block.pseudo_obs, block.tau_final,
-                                       config.path_losses, truth.activity,
-                                       si_term)
-        detections.append(det)
-        reports.append(detector.detect_block(
-            det, 0.0, x_hat=block.x_hat, x_true=truth.effective_signal))
-    return TrialResult(variant=variant, blocks=blocks, detections=detections,
-                       reports=reports)
-
-
 def run_trial(config: model.ScenarioConfig, variant: str, *,
               scenario=None, first_block=None) -> TrialResult:
-    """Generate a scenario, estimate its blocks, then detect and score them.
+    """Generate a scenario, estimate its blocks, then detect every block's
+    activity, with the side-information term its estimate used, and score
+    it at l = 0.
 
     With variant "si" each block after the first is denoised and detected
     using the previous block's converged pseudo-observations, one block
@@ -279,17 +264,27 @@ def run_trial(config: model.ScenarioConfig, variant: str, *,
         if first_block is not None:
             raise ValueError("first_block starts the si chain only")
         blocks = run_blocks(scenario.received, scenario.pilots, 0.0, config)
-        return _score(config, scenario, variant, blocks, [0.0] * len(blocks))
-    if first_block is None:
-        first_block = run_block(scenario.received[0], scenario.pilots, 0.0,
-                                config)
-    blocks, si_terms = [first_block], [0.0]
-    for y in scenario.received[1:]:
-        # computed once per block: its estimate and detection share it
-        si_terms.append(si_log_odds(blocks[-1].side_info(), config.path_losses,
-                                    config.persistence, config.beta))
-        blocks.append(run_block(y, scenario.pilots, si_terms[-1], config))
-    return _score(config, scenario, variant, blocks, si_terms)
+        si_terms = [0.0] * len(blocks)
+    else:
+        if first_block is None:
+            first_block = run_block(scenario.received[0], scenario.pilots,
+                                    0.0, config)
+        blocks, si_terms = [first_block], [0.0]
+        for y in scenario.received[1:]:
+            # computed once per block: its estimate and detection share it
+            si_terms.append(si_log_odds(blocks[-1].side_info(),
+                                        config.path_losses,
+                                        config.persistence, config.beta))
+            blocks.append(run_block(y, scenario.pilots, si_terms[-1], config))
+    trial = TrialResult(variant=variant, blocks=blocks)
+    for block, truth, si_term in zip(blocks, scenario.blocks, si_terms):
+        det = detector.block_detection(block.pseudo_obs, block.tau_final,
+                                       config.path_losses, truth.activity,
+                                       si_term)
+        trial.detections.append(det)
+        trial.reports.append(detector.detect_block(
+            det, 0.0, x_hat=block.x_hat, x_true=truth.effective_signal))
+    return trial
 
 
 def run_trial_variants(config: model.ScenarioConfig) -> list[TrialResult]:

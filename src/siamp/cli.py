@@ -6,19 +6,20 @@ simulate        full Monte Carlo experiment, all CSV outputs
 se-trace        state-evolution fixed-point traces as CSV
 denoiser-curve  denoiser magnitude response grid as CSV
 detector-curve  energy-threshold-vs-previous-magnitude grid as CSV
-dump-traces     ground-truth activity/channel dump for one scenario
-amp-trace       per-iteration tau/residual/change log for one trial
+dump-traces     ground-truth activity/channel dump of simulate's trial 0
+amp-trace       per-iteration tau/residual/change log of simulate's trial 0
 oracle-check    closed-form vs direct-posterior equivalence sweeps
 
 Exit status is nonzero on any parse, validation or oracle failure.
 """
 
 import argparse
+import os
 import sys
 
 import numpy as np
 
-from .amp import VARIANTS, run_trial
+from .amp import run_trial_variants
 from .denoiser import (DenoiserParams, denoise_rows, draw_case_pair,
                        oracle_posterior_mean, si_log_odds)
 from .detector import block_detection, llr_appendix_oracle
@@ -26,7 +27,7 @@ from .errors import InvalidConfig, SiAmpError
 from .experiment import (chained_se_traces, denoiser_response_curve,
                          detector_threshold_curve, emit_csv,
                          read_config_file, run_experiment, se_trace_table,
-                         spec_from_options, write_tables)
+                         spec_from_options, trial_config, write_tables)
 from .model import beta_from, generate_scenario, trace_table
 from .streams import substream
 
@@ -52,7 +53,16 @@ def _load_spec(args):
              "parallelism": getattr(args, "parallelism", None),
              "out_dir": args.out_dir}
     options.update({k: v for k, v in flags.items() if v is not None})
-    return spec_from_options(options, source=source)
+    spec = spec_from_options(options, source=source)
+    # a file in the output path fails here, before any trial runs, and
+    # nothing is created
+    ancestor = os.path.abspath(spec.out_dir or ".")
+    while not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not os.path.isdir(ancestor):
+        raise InvalidConfig(f"out_dir {spec.out_dir!r}: {ancestor} is not "
+                            "a directory")
+    return spec
 
 
 def _add_common(parser):
@@ -128,19 +138,21 @@ def _cmd_detector_curve(args) -> int:
 
 def _cmd_dump_traces(args) -> int:
     spec = _load_spec(args)
-    table = trace_table(generate_scenario(spec.scenario))
+    table = trace_table(generate_scenario(trial_config(spec.scenario, 0)))
     _print_paths(write_tables(spec.out_dir or ".", {"traces": table}))
     return 0
 
 
 def _cmd_amp_trace(args) -> int:
     spec = _load_spec(args)
-    trial = run_trial(spec.scenario, variant=args.variant)
-    rows = [(j + 1, t + 1, block.tau_trace[t + 1], block.residual_fro_trace[t],
-             block.delta_x_trace[t])
+    rows = [(trial.variant, j + 1, t + 1, block.tau_trace[t + 1],
+             block.residual_fro_trace[t], block.delta_x_trace[t],
+             int(block.converged))
+            for trial in run_trial_variants(trial_config(spec.scenario, 0))
             for j, block in enumerate(trial.blocks)
             for t in range(len(block.delta_x_trace))]
-    header = ["block", "iter", "tau", "residual_fro", "delta_X"]
+    header = ["variant", "block", "iter", "tau", "residual_fro", "delta_X",
+              "converged"]
     _print_paths(write_tables(spec.out_dir or ".",
                               {"amp_trace": (header, rows)}))
     return 0
@@ -210,15 +222,11 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_simulate)
 
     for name, fn in (("se-trace", _cmd_se_trace),
-                     ("dump-traces", _cmd_dump_traces)):
+                     ("dump-traces", _cmd_dump_traces),
+                     ("amp-trace", _cmd_amp_trace)):
         p = sub.add_parser(name)
         _add_common(p)
         p.set_defaults(fn=fn)
-
-    p = sub.add_parser("amp-trace")
-    _add_common(p)
-    p.add_argument("--variant", choices=VARIANTS, default="si")
-    p.set_defaults(fn=_cmd_amp_trace)
 
     p = sub.add_parser("denoiser-curve")
     p.add_argument("--prev", default="1e-7,1e-3",
@@ -243,7 +251,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except SiAmpError as exc:
+    except (SiAmpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -150,19 +150,23 @@ _KEYS = {
 def read_config_file(path) -> dict:
     """Parse a key = value file into unconverted string values by key;
     `spec_from_options` checks and converts them."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: cannot read config file: {exc}") from None
     raw = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ParseError(f"{path}:{lineno}: expected 'key = value', "
-                                 f"got {stripped!r}")
-            key, value = (s.strip() for s in stripped.split("=", 1))
-            if key in raw:
-                raise ParseError(f"{path}:{lineno}: duplicate key {key!r}")
-            raw[key] = value
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ParseError(f"{path}:{lineno}: expected 'key = value', "
+                             f"got {stripped!r}")
+        key, value = (s.strip() for s in stripped.split("=", 1))
+        if key in raw:
+            raise ParseError(f"{path}:{lineno}: duplicate key {key!r}")
+        raw[key] = value
     return raw
 
 
@@ -262,6 +266,12 @@ def trial_seed(master_seed: int, index: int) -> int:
     return int(state[0] >> 1)
 
 
+def trial_config(scenario: ScenarioConfig, index: int) -> ScenarioConfig:
+    """The scenario of trial `index`: `scenario` at the trial's own seed.
+    `simulate` runs it, and `amp-trace` and `dump-traces` trace trial 0."""
+    return replace(scenario, rng_seed=trial_seed(scenario.rng_seed, index))
+
+
 def count_dtype(bound: int) -> np.dtype:
     """The narrowest signed integer type that holds twice `bound`, so the
     sum or the paired difference of two arrays of counts up to `bound`
@@ -276,8 +286,7 @@ def _run_trial_counts(args):
     Returns (index, {variant: arrays}, None), or (index, None, repr(exc))
     if the trial raised a `SiAmpError`."""
     spec, index = args
-    config = replace(spec.scenario, rng_seed=trial_seed(spec.scenario.rng_seed,
-                                                        index))
+    config = trial_config(spec.scenario, index)
     try:
         trials = run_trial_variants(config)
     except SiAmpError as exc:
@@ -305,7 +314,9 @@ class AggregateResult:
     """Cross-trial aggregate of one experiment.
 
     `per_trial[variant]` keeps the per-trial arrays every table is pooled
-    from, one row per completed trial in trial order: sweep counts
+    from, one row per completed trial in trial order (after a failed
+    trial, row k is not trial k; `failures` names the trials left out):
+    sweep counts
     `fa`/`md` of shape (trials, slots, len(l_grid)), `n_inactive` and
     `n_active` and float `nmse` and `tau_final` of shape (trials, slots);
     also each block's `iters_used` and bool `converged`, of the same
@@ -384,6 +395,8 @@ def run_experiment(spec: ExperimentSpec) -> AggregateResult:
         "num_trials": spec.num_trials,
         "completed_trials": spec.num_trials - len(failures),
         "failed_trials": len(failures),
+        "failures": [{"trial": index, "error": error}
+                     for index, error in failures],
         "parallelism": spec.parallelism,
         "variants": list(VARIANTS),
         # the stopping rule every block's estimate, and so every CSV built

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import siamp
-from siamp import NonFiniteState, experiment
+from siamp import NonFiniteState, cli, experiment, generate_scenario
 from siamp.cli import main
 
 SIMULATE_OUTPUTS = ("roc.csv", "nmse.csv", "se_trace.csv", "denoiser_curve.csv",
@@ -111,14 +111,15 @@ def test_dump_traces(tiny_config, tmp_path):
 
 
 def test_dump_traces_lf_and_exact(tiny_config, tmp_path):
-    # every CSV ends its lines in LF alone, and channels read back exactly
-    from siamp import generate_scenario, parse_config
+    # every CSV ends its lines in LF alone, and the channels of simulate's
+    # trial 0 read back exactly
     out = tmp_path / "traces_out"
     assert main(["dump-traces", str(tiny_config), "--out-dir", str(out)]) == 0
     data = (out / "traces.csv").read_bytes()
     assert b"\r" not in data
     rows = list(csv.DictReader(data.decode().splitlines()))
-    realization = generate_scenario(parse_config(tiny_config).scenario)
+    realization = generate_scenario(experiment.trial_config(
+        experiment.parse_config(tiny_config).scenario, 0))
     channels = np.array([[complex(float(r["channel_re_1"]),
                                   float(r["channel_im_1"]))] for r in rows])
     np.testing.assert_array_equal(
@@ -133,6 +134,54 @@ def test_amp_trace(tiny_config, tmp_path):
     assert {row["block"] for row in rows} == {"1", "2"}
     taus = [float(r["tau"]) for r in rows if r["block"] == "1"]
     assert all(t > 0 for t in taus)
+
+
+def traced_run(source, tiny_config):
+    """The source flags of a trace command, and the spec `simulate` runs
+    from them: the tiny config, or a desk preset at 2 trials."""
+    if source == "tiny":
+        return [str(tiny_config)], experiment.parse_config(tiny_config)
+    return (["--preset", source],
+            experiment.spec_from_options({"preset": source, "num_trials": 2}))
+
+
+@pytest.mark.parametrize("source", ["tiny", "fig3-desk", "fig4-desk"])
+def test_amp_trace_is_simulate_trial_0(source, tiny_config, tmp_path):
+    # amp-trace traces the blocks simulate's trial 0 ran, under each variant:
+    # a block's last tau, its row count and its converged flag are that
+    # trial's tau_final, iters_used and converged, bit for bit
+    argv, spec = traced_run(source, tiny_config)
+    assert main(["amp-trace", *argv, "--out-dir", str(tmp_path)]) == 0
+    with open(tmp_path / "amp_trace.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    per_trial = experiment.run_experiment(spec).per_trial
+    assert {row["variant"] for row in rows} == set(per_trial)
+    for variant, data in per_trial.items():
+        for j in range(spec.scenario.num_blocks):
+            block = [row for row in rows if row["variant"] == variant
+                     and row["block"] == str(j + 1)]
+            assert [int(row["iter"]) for row in block] == list(
+                range(1, len(block) + 1))
+            assert len(block) == data["iters_used"][0, j]
+            assert float(block[-1]["tau"]) == data["tau_final"][0, j]
+            assert {row["converged"] for row in block} == {
+                str(int(data["converged"][0, j]))}
+
+
+@pytest.mark.parametrize("source", ["tiny", "fig3-desk", "fig4-desk"])
+def test_dump_traces_is_simulate_trial_0(source, tiny_config, tmp_path):
+    # the dumped activity is the truth of simulate's trial 0
+    argv, spec = traced_run(source, tiny_config)
+    assert main(["dump-traces", *argv, "--out-dir", str(tmp_path)]) == 0
+    with open(tmp_path / "traces.csv", newline="") as fh:
+        active = np.array([int(row["active"]) for row in csv.DictReader(fh)])
+    active = active.reshape(spec.scenario.num_blocks, -1)
+    truth = generate_scenario(experiment.trial_config(spec.scenario, 0))
+    np.testing.assert_array_equal(
+        active, [block.activity.astype(int) for block in truth.blocks])
+    np.testing.assert_array_equal(
+        active.sum(axis=1),
+        experiment.run_experiment(spec).per_trial["si"]["n_active"][0])
 
 
 def test_oracle_check_passes(capsys):
@@ -296,6 +345,41 @@ def test_gain_below_noise_floor_is_error(command, tiny_config, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["missing", "directory", "non-utf8",
+                                  "out-dir-under-file"])
+def test_unusable_path_is_error(case, tiny_config, tmp_path, capsys,
+                                monkeypatch):
+    # an unreadable config file or an output directory that cannot be made
+    # is named before any trial runs, with no traceback, and nothing is
+    # created
+    def never(spec):
+        raise AssertionError("run_experiment was called")
+    monkeypatch.setattr(cli, "run_experiment", never)
+    out = tmp_path / "out"
+    config = {"missing": tmp_path / "missing.cfg", "directory": tmp_path,
+              "non-utf8": tmp_path / "latin.cfg"}.get(case, tiny_config)
+    if case == "non-utf8":
+        config.write_bytes(tiny_config.read_bytes() + b"# \xff\n")
+    elif case == "out-dir-under-file":
+        out = tiny_config / "out"
+    assert main(["simulate", str(config), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert str(config if case != "out-dir-under-file" else tiny_config) in err
+    assert not os.path.exists(out)
+
+
+def test_os_error_is_error(tiny_config, tmp_path, capsys, monkeypatch):
+    # a file that cannot be written is reported, not raised
+    def full(out_dir, tables):
+        raise OSError(28, "No space left on device")
+    monkeypatch.setattr(cli, "write_tables", full)
+    assert main(["dump-traces", str(tiny_config),
+                 "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: [Errno 28] No space left on device\n")
+
+
 def test_failed_trials_are_error(tiny_config, tmp_path, capsys, monkeypatch):
     # more than 10% of the trials failed: the run stops with the reason
     # and writes nothing
@@ -318,17 +402,23 @@ def test_preset_flag(tmp_path):
     assert os.path.exists(out / "roc.csv")
 
 
-@pytest.mark.parametrize("command", ["se-trace", "dump-traces", "amp-trace"])
-@pytest.mark.parametrize("flag", ["--trials", "--parallelism"])
-def test_trial_flags_only_for_simulate(command, flag, tiny_config, tmp_path,
-                                       capsys):
+@pytest.mark.parametrize("command,flag,value", [
+    *(pytest.param(command, flag, "2", id=f"{flag}-{command}")
+      for flag in ("--trials", "--parallelism")
+      for command in ("se-trace", "dump-traces", "amp-trace")),
+    # amp-trace writes both variants
+    pytest.param("amp-trace", "--variant", "si", id="--variant-amp-trace"),
+])
+def test_trial_flags_only_for_simulate(command, flag, value, tiny_config,
+                                       tmp_path, capsys):
     # the other commands run no trials; the flag was read, then ignored
     # (--parallelism) or checked against a run that never happens (--trials)
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        main([command, str(tiny_config), flag, "2", "--out-dir", str(out)])
+        main([command, str(tiny_config), flag, value, "--out-dir", str(out)])
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+    assert (f"unrecognized arguments: {flag} {value}"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 

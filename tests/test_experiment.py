@@ -336,7 +336,8 @@ class TestRunExperiment:
         with pytest.raises(TypeError, match="bug"):
             run_experiment(spec_from_options(desk_options(num_trials="10")))
 
-    def test_library_error_recorded_and_trial_skipped(self, monkeypatch):
+    def test_library_error_recorded_and_trial_skipped(self, monkeypatch,
+                                                      tmp_path):
         self._fail_one_trial(monkeypatch, NonFiniteState("diverged"))
         spec = spec_from_options(desk_options(num_trials="10"))
         result = run_experiment(spec)
@@ -344,6 +345,10 @@ class TestRunExperiment:
         assert len(result.failures) == 1
         index, message = result.failures[0]
         assert index == 1 and "diverged" in message
+        # metadata.json gives the reason of every failed trial
+        with open(emit_csv(result, tmp_path)["metadata"]) as fh:
+            assert json.load(fh)["failures"] == [{"trial": 1,
+                                                  "error": message}]
         assert result.metadata["completed_trials"] == 9
         # the completed trials fill the rows in trial order, trial 1 skipped
         expected = [_run_trial_counts((spec, i))[1] for i in range(10) if i != 1]
