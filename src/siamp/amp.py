@@ -36,17 +36,6 @@ TAU_FLOOR_FACTOR = 1e-12
 # the compared variants: side information from the previous block, or none
 VARIANTS = ("si", "nosi")
 
-__all__ = [
-    "AmpBlockResult",
-    "TrialResult",
-    "pseudo_observations",
-    "amp_iterate",
-    "run_blocks",
-    "run_block",
-    "run_trial",
-    "run_trial_variants",
-]
-
 
 @dataclass(frozen=True)
 class AmpBlockResult:
@@ -54,7 +43,6 @@ class AmpBlockResult:
 
     x_hat: np.ndarray  # (N, M) converged estimate
     pseudo_obs: np.ndarray  # (N, M) converged pseudo-observations
-    residual: np.ndarray  # (L, M) final residual
     tau_trace: np.ndarray  # tau_0 .. tau_T
     delta_x_trace: np.ndarray  # relative estimate change per iteration
     residual_fro_trace: np.ndarray  # Frobenius norm of the residual per iteration
@@ -207,7 +195,6 @@ def run_blocks(received, pilots: np.ndarray, si_term,
             results[b] = AmpBlockResult(
                 x_hat=np.ascontiguousarray(x_hat[:, own]),
                 pseudo_obs=np.ascontiguousarray(final_pseudo[:, own]),
-                residual=np.ascontiguousarray(final_residual[:, own]),
                 tau_trace=np.asarray(tau_traces[b]),
                 delta_x_trace=np.asarray(delta_traces[b]),
                 residual_fro_trace=np.asarray(res_traces[b]),

@@ -46,23 +46,26 @@ def _load_spec(args):
         options, source = {}, "--preset"
     else:
         raise SiAmpError("either a config file or --preset is required")
+    # the output directory is the command's, not the experiment's:
+    # --out-dir, else the config file's out_dir line, else '.'
+    file_out_dir = options.pop("out_dir", None)
+    out_dir = (file_out_dir if args.out_dir is None else args.out_dir) or "."
     # command-line values are typed already and pass through unconverted
     # only simulate has --trials and --parallelism
     flags = {"preset": args.preset, "rng_seed": args.seed,
              "num_trials": getattr(args, "trials", None),
-             "parallelism": getattr(args, "parallelism", None),
-             "out_dir": args.out_dir}
+             "parallelism": getattr(args, "parallelism", None)}
     options.update({k: v for k, v in flags.items() if v is not None})
     spec = spec_from_options(options, source=source)
     # a file in the output path fails here, before any trial runs, and
     # nothing is created
-    ancestor = os.path.abspath(spec.out_dir or ".")
+    ancestor = os.path.abspath(out_dir)
     while not os.path.exists(ancestor):
         ancestor = os.path.dirname(ancestor)
     if not os.path.isdir(ancestor):
-        raise InvalidConfig(f"out_dir {spec.out_dir!r}: {ancestor} is not "
+        raise InvalidConfig(f"out_dir {out_dir!r}: {ancestor} is not "
                             "a directory")
-    return spec
+    return spec, out_dir
 
 
 def _add_common(parser):
@@ -80,9 +83,9 @@ def _print_paths(paths):
 
 
 def _cmd_simulate(args) -> int:
-    spec = _load_spec(args)
+    spec, out_dir = _load_spec(args)
     result = run_experiment(spec)
-    _print_paths(emit_csv(result, spec.out_dir or "."))
+    _print_paths(emit_csv(result, out_dir))
     print(f"completed {result.metadata['completed_trials']} trials "
           f"in {result.metadata['wall_time_s']:.1f}s")
     stopped = ", ".join(f"{variant} {np.sum(~data['converged'])}/"
@@ -94,8 +97,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_se_trace(args) -> int:
-    spec = _load_spec(args)
-    _print_paths(write_tables(spec.out_dir or ".", {
+    spec, out_dir = _load_spec(args)
+    _print_paths(write_tables(out_dir, {
         "se_trace": se_trace_table(chained_se_traces(spec))}))
     return 0
 
@@ -137,14 +140,14 @@ def _cmd_detector_curve(args) -> int:
 
 
 def _cmd_dump_traces(args) -> int:
-    spec = _load_spec(args)
+    spec, out_dir = _load_spec(args)
     table = trace_table(generate_scenario(trial_config(spec.scenario, 0)))
-    _print_paths(write_tables(spec.out_dir or ".", {"traces": table}))
+    _print_paths(write_tables(out_dir, {"traces": table}))
     return 0
 
 
 def _cmd_amp_trace(args) -> int:
-    spec = _load_spec(args)
+    spec, out_dir = _load_spec(args)
     rows = [(trial.variant, j + 1, t + 1, block.tau_trace[t + 1],
              block.residual_fro_trace[t], block.delta_x_trace[t],
              int(block.converged))
@@ -153,8 +156,7 @@ def _cmd_amp_trace(args) -> int:
             for t in range(len(block.delta_x_trace))]
     header = ["variant", "block", "iter", "tau", "residual_fro", "delta_X",
               "converged"]
-    _print_paths(write_tables(spec.out_dir or ".",
-                              {"amp_trace": (header, rows)}))
+    _print_paths(write_tables(out_dir, {"amp_trace": (header, rows)}))
     return 0
 
 

@@ -23,20 +23,6 @@ import numpy as np
 from .errors import InvalidConfig
 from .model import count_violation
 
-__all__ = [
-    "ACTIVE_NOW",
-    "ACTIVE_BEFORE",
-    "case_priors",
-    "DenoiserParams",
-    "SideInfo",
-    "log_odds_terms",
-    "si_log_odds",
-    "denoise_rows",
-    "case_log_likelihoods",
-    "oracle_posterior_mean",
-    "draw_case_pair",
-]
-
 
 # The two-block activity cases, previous->current: active->active,
 # active->inactive, inactive->active, inactive->inactive.

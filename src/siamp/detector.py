@@ -16,20 +16,6 @@ from .denoiser import (ACTIVE_NOW, DenoiserParams, SideInfo, _row_norm_sq,
                        case_log_likelihoods, log_odds_terms)
 from .errors import InvalidConfig
 
-__all__ = [
-    "DetectionMetrics",
-    "DetectionReport",
-    "BlockDetection",
-    "llr_appendix_oracle",
-    "compute_metrics",
-    "block_detection",
-    "detect_block",
-    "sweep_block_counts",
-    "aggregate_slot_counts",
-    "RocCurve",
-    "rate_stderr",
-]
-
 
 @dataclass(frozen=True)
 class DetectionMetrics:

@@ -71,7 +71,6 @@ class ExperimentSpec:
     scenario: ScenarioConfig
     num_trials: int
     l_grid: np.ndarray
-    out_dir: str | None
     parallelism: int
     se_sample_count: int
 
@@ -120,8 +119,7 @@ PRESETS = {
 _DEFAULTS = dict(
     num_antennas=1, num_blocks=1, activity_rate=0.1,
     noise_variance=1.0, rng_seed=0, num_trials=1, parallelism=1,
-    se_sample_count=20_000, placement="gamma", out_dir=None,
-    l_grid=default_l_grid(),
+    se_sample_count=20_000, placement="gamma", l_grid=default_l_grid(),
 )
 
 
@@ -142,7 +140,7 @@ _KEYS = {
                      "se_sample_count"), int),
     **dict.fromkeys(("activity_rate", "persistence", "noise_variance",
                      "gamma"), float),
-    **dict.fromkeys(("preset", "placement", "out_dir"), str),
+    **dict.fromkeys(("preset", "placement"), str),
     "l_grid": _parse_l_grid,
 }
 
@@ -238,7 +236,6 @@ def spec_from_options(options: dict, source: str = "<options>") -> ExperimentSpe
         rng_seed=seed)
     spec = ExperimentSpec(scenario=scenario, num_trials=converted["num_trials"],
                           l_grid=np.array(converted["l_grid"], dtype=float),
-                          out_dir=converted["out_dir"],
                           parallelism=converted["parallelism"],
                           se_sample_count=converted["se_sample_count"])
     bad = spec.violations()
@@ -357,13 +354,13 @@ class AggregateResult:
 def run_experiment(spec: ExperimentSpec) -> AggregateResult:
     """Execute all trials, pool per-slot counts, attach SE predictions.
 
-    Deterministic for a given spec regardless of parallelism: every trial
-    draws from substreams of its own derived seed, and its outcome is
-    written into the per-trial arrays as it arrives, in trial order.  A
-    trial that raises a library error (`SiAmpError`, such as a diverging
-    block's `NonFiniteState`) is recorded and skipped; more than 10%
-    failures aborts the experiment with a `SiAmpError`.  Any other
-    exception propagates.
+    Deterministic for a given spec regardless of parallelism, at one BLAS
+    thread per process: every trial draws from substreams of its own
+    derived seed, and its outcome is written into the per-trial arrays as
+    it arrives, in trial order.  A trial that raises a library error
+    (`SiAmpError`, such as a diverging block's `NonFiniteState`) is
+    recorded and skipped; more than 10% failures aborts the experiment
+    with a `SiAmpError`.  Any other exception propagates.
     """
     spec.validate()
     start = time.perf_counter()
@@ -614,8 +611,9 @@ def emit_csv(result: AggregateResult, out_dir) -> dict:
     """Write the run's ROC, NMSE, SE-trace and curve CSVs plus a metadata
     JSON; returns {name: path}.
 
-    The CSV bytes are deterministic functions of (spec, seed); wall time
-    and other run-dependent facts live only in metadata.json.
+    The CSV bytes are deterministic functions of (spec, seed) at one BLAS
+    thread per process; at more, nmse.csv can differ in the last bits.
+    Wall time and other run-dependent facts live only in metadata.json.
     """
     # response/threshold grids at the experiment's own operating point:
     # median channel gain and the converged slot-1 noise level

@@ -20,8 +20,6 @@ from .detector import rate_stderr
 from .errors import InvalidConfig
 from .model import ScenarioConfig, count_violation, power_violation
 
-__all__ = ["SeParams", "SeTrace", "draw_samples", "se_step", "se_fixed_point"]
-
 REL_TOL = 1e-4  # relative change of tau^2 below which a trace has converged
 MAX_STEPS = 200  # steps after which a trace is returned unconverged
 

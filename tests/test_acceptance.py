@@ -11,14 +11,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from siamp import (DenoiserParams, ScenarioConfig, SeParams, beta_from,
-                   block_detection, denoise_rows, detect_block,
-                   draw_case_pair, emit_csv, generate_scenario,
-                   llr_appendix_oracle, oracle_posterior_mean, run_block,
-                   run_experiment, se_fixed_point, si_log_odds,
-                   spec_from_options)
+from siamp.amp import run_block
+from siamp.denoiser import (DenoiserParams, denoise_rows, draw_case_pair,
+                            oracle_posterior_mean, si_log_odds)
+from siamp.detector import block_detection, detect_block, llr_appendix_oracle
 from siamp.experiment import (denoiser_response_curve,
-                              detector_threshold_curve)
+                              detector_threshold_curve, emit_csv,
+                              run_experiment, spec_from_options)
+from siamp.model import ScenarioConfig, beta_from, generate_scenario
+from siamp.state_evolution import SeParams, se_fixed_point
 from siamp.streams import substream
 
 pytestmark = pytest.mark.acceptance
@@ -185,6 +186,31 @@ def test_a4_multiantenna_desk_scale():
     ok = ok and elapsed < 600.0
     report("A4 detection gain over slots (M=2 desk scale)", ok,
            "; ".join(details) + f"; {elapsed:.0f}s")
+
+
+@pytest.mark.slow
+def test_si_gain_grows_with_persistence():
+    # the paper's headline gain, where it grows: at persistence 0.9 the si
+    # variant's last-slot P_MD at P_FA 0.01 sits well below nosi's, and
+    # the gain exceeds the presets' (persistence 0.46) gain.  The bounds
+    # were fixed from 200 trials at the preset seed, which read gains of
+    # 0.0522 +- 0.0018 at 0.9 and 0.0077 +- 0.0010 at 0.46
+    start = time.time()
+    gains = {}
+    for alpha in (0.46, 0.9):
+        result = run_experiment(spec_from_options({
+            "preset": "fig3-desk", "persistence": alpha, "num_trials": 100,
+            "se_sample_count": 2000}))
+        last = result.spec.scenario.num_blocks - 1
+        gains[alpha] = _paired(result.p_md_per_trial("nosi", last, 0.01),
+                               result.p_md_per_trial("si", last, 0.01))
+    (low, low_se), (high, high_se) = gains[0.46], gains[0.9]
+    combined_se = float(np.hypot(low_se, high_se))
+    ok = high >= 0.03 and high - low > 3 * combined_se
+    report("si gain grows with persistence (M=1 desk scale)", ok,
+           f"gain@0.46 {low:.4f} +- {low_se:.4f}, gain@0.9 {high:.4f} +- "
+           f"{high_se:.4f}, difference {(high - low) / combined_se:.1f} se; "
+           f"{time.time() - start:.0f}s")
 
 
 def test_a5_state_evolution_consistency():

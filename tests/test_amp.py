@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import siamp
-from siamp import (NonFiniteState, ScenarioConfig, SiAmpError, amp, detector,
-                   generate_scenario, pseudo_observations, run_block,
-                   run_blocks, run_trial, run_trial_variants,
-                   spec_from_options)
+from siamp import amp, detector
+from siamp.amp import (pseudo_observations, run_block, run_blocks, run_trial,
+                       run_trial_variants)
 from siamp.denoiser import SideInfo, denoise_rows, si_log_odds
-from siamp.model import BlockTruth, ScenarioRealization
+from siamp.errors import NonFiniteState, SiAmpError
+from siamp.experiment import spec_from_options
+from siamp.model import (BlockTruth, ScenarioConfig, ScenarioRealization,
+                         generate_scenario)
 from siamp.streams import substream
 
 
@@ -65,6 +67,19 @@ class TestPseudoObservations:
                                 np.zeros((5, 3), complex))
 
 
+def record_iterates(monkeypatch):
+    """Replace `amp.amp_iterate` by a wrapper; returns the list of the
+    (estimate, residual, norms) it hands back, one per iteration."""
+    returned, real_iterate = [], amp.amp_iterate
+
+    def recorded_iterate(*args):
+        returned.append(real_iterate(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(amp, "amp_iterate", recorded_iterate)
+    return returned
+
+
 class TestIterate:
     # each test runs one block for a fixed number of iterations, through
     # run_block, with the module's denoiser binding replaced where needed
@@ -77,11 +92,13 @@ class TestIterate:
         monkeypatch.setattr(amp, "MAX_ITERS", 1)
         monkeypatch.setattr(amp, "denoise_rows",
                             lambda rows, *args: (rows, np.ones(n)))
+        returned = record_iterates(monkeypatch)
         new = run_block(y, s, 0.0, cfg)
         expected_x = pseudo_observations(np.zeros_like(new.x_hat), y, s)
         np.testing.assert_array_equal(new.x_hat, expected_x)
         expected_r = y - s @ expected_x + (n / cfg.pilot_length) * y
-        np.testing.assert_allclose(new.residual, expected_r, atol=1e-12)
+        [(_, residual, _)] = returned
+        np.testing.assert_allclose(residual, expected_r, atol=1e-12)
 
     def test_zero_denoiser_fixed_point(self, monkeypatch):
         cfg = small_config()
@@ -93,9 +110,11 @@ class TestIterate:
         monkeypatch.setattr(amp, "denoise_rows",
                             lambda rows, *args: (np.zeros_like(rows),
                                                  np.zeros(n)))
+        returned = record_iterates(monkeypatch)
         new = run_block(y, s, 0.0, cfg)
         np.testing.assert_array_equal(new.x_hat, 0.0)
-        np.testing.assert_array_equal(new.residual, y)
+        [(_, residual, _)] = returned
+        np.testing.assert_array_equal(residual, y)
 
     def test_matches_independent_transcription(self, monkeypatch):
         # straight-line rewrite of the update equations, no shared helpers
@@ -142,7 +161,8 @@ class TestIterate:
             tau = max(np.linalg.norm(r) / np.sqrt(6),
                       1e-12 * np.sqrt(cfg.path_losses.max()))
         np.testing.assert_allclose(result.x_hat, x, rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(result.residual, r, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(result.pseudo_obs, x + np.conj(s).T @ r,
+                                   rtol=1e-12, atol=1e-15)
         assert result.tau_final == pytest.approx(tau, rel=1e-12)
 
     def test_non_finite_state_raises(self, monkeypatch):
@@ -177,14 +197,6 @@ class TestRunBlock:
         np.testing.assert_array_equal(a.x_hat, b.x_hat)
         np.testing.assert_array_equal(a.tau_trace, b.tau_trace)
 
-    def test_pseudo_obs_recomputable(self):
-        cfg = small_config()
-        scenario = generate_scenario(cfg)
-        res = run_block(scenario.received[0], scenario.pilots, 0.0, cfg)
-        again = pseudo_observations(res.x_hat, res.residual,
-                                    scenario.pilots)
-        np.testing.assert_array_equal(res.pseudo_obs, again)
-
     def test_tau_settles_downward(self):
         cfg = ScenarioConfig(num_devices=1000, pilot_length=300, num_antennas=1,
                              num_blocks=1, activity_rate=0.1, persistence=0.1,
@@ -205,8 +217,7 @@ def assert_blocks_close(batch, alone, rtol):
         assert a.iters_used == b.iters_used and a.converged == b.converged
         for name in ("tau_trace", "delta_x_trace", "residual_fro_trace"):
             assert len(getattr(a, name)) == len(getattr(b, name))
-        for name in ("x_hat", "pseudo_obs", "residual", "tau_trace",
-                     "residual_fro_trace"):
+        for name in ("x_hat", "pseudo_obs", "tau_trace", "residual_fro_trace"):
             x, y = getattr(a, name), getattr(b, name)
             assert x.shape == y.shape
             assert np.max(np.abs(x - y)) <= rtol * np.max(np.abs(y))
@@ -282,8 +293,8 @@ class TestRunBlocks:
         a = run_blocks(scenario.received, scenario.pilots, 0.0, cfg)
         b = run_blocks(scenario.received, scenario.pilots, 0.0, cfg)
         for x, y in zip(a, b):
-            for name in ("x_hat", "pseudo_obs", "residual", "tau_trace",
-                         "delta_x_trace", "residual_fro_trace"):
+            for name in ("x_hat", "pseudo_obs", "tau_trace", "delta_x_trace",
+                         "residual_fro_trace"):
                 assert getattr(x, name).tobytes() == getattr(y, name).tobytes()
             assert (x.iters_used, x.converged) == (y.iters_used, y.converged)
 
@@ -339,7 +350,6 @@ def oracle_run_blocks(received, pilots, si_term, cfg):
         for i, j in enumerate(leaving):
             own = slice(i * m, (i + 1) * m)
             results[active[j]] = (x_hat[:, own], pseudo_obs[:, own],
-                                  residual[:, own],
                                   *map(np.asarray, traces[active[j]]), t,
                                   bool(converged[j]))
         cols = columns(keep)
@@ -368,8 +378,8 @@ class TestOracle:
             si_term, received = 0.0, scenario.received
             got = run_blocks(received, scenario.pilots, si_term, cfg)
         want = oracle_run_blocks(received, scenario.pilots, si_term, cfg)
-        names = ("x_hat", "pseudo_obs", "residual", "tau_trace",
-                 "delta_x_trace", "residual_fro_trace")
+        names = ("x_hat", "pseudo_obs", "tau_trace", "delta_x_trace",
+                 "residual_fro_trace")
         for block, expected in zip(got, want, strict=True):
             for name, value in zip(names, expected):
                 assert getattr(block, name).tobytes() == value.tobytes(), name
@@ -625,8 +635,9 @@ class TestAsymptotics:
 _BLOCK_DIGESTS = """
 import hashlib
 from dataclasses import replace
-from siamp import generate_scenario, run_blocks, spec_from_options
-from siamp.experiment import trial_seed
+from siamp.amp import run_blocks
+from siamp.experiment import spec_from_options, trial_seed
+from siamp.model import generate_scenario
 scenario = spec_from_options({"preset": "fig3-desk"}).scenario
 config = replace(scenario, rng_seed=trial_seed(scenario.rng_seed, 0))
 realization = generate_scenario(config)

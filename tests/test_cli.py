@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import siamp
-from siamp import NonFiniteState, cli, experiment, generate_scenario
+from siamp import amp, cli, experiment
 from siamp.cli import main
+from siamp.errors import NonFiniteState
+from siamp.model import generate_scenario
 
 SIMULATE_OUTPUTS = ("roc.csv", "nmse.csv", "se_trace.csv", "denoiser_curve.csv",
                     "threshold_curve.csv", "metadata.json")
@@ -53,7 +55,7 @@ def test_simulate_writes_outputs(tiny_config, tmp_path, capsys):
 def test_simulate_counts_blocks_stopped_at_max_iters(tiny_config, tmp_path,
                                                      capsys, monkeypatch):
     # no block's estimate settles within 2 iterations from x = 0
-    monkeypatch.setattr(siamp.amp, "MAX_ITERS", 2)
+    monkeypatch.setattr(amp, "MAX_ITERS", 2)
     assert main(["simulate", str(tiny_config), "--out-dir",
                  str(tmp_path / "out")]) == 0
     stdout = capsys.readouterr().out
@@ -346,26 +348,32 @@ def test_gain_below_noise_floor_is_error(command, tiny_config, tmp_path,
 
 
 @pytest.mark.parametrize("case", ["missing", "directory", "non-utf8",
-                                  "out-dir-under-file"])
+                                  "out-dir-under-file",
+                                  "file-out-dir-under-file"])
 def test_unusable_path_is_error(case, tiny_config, tmp_path, capsys,
                                 monkeypatch):
-    # an unreadable config file or an output directory that cannot be made
-    # is named before any trial runs, with no traceback, and nothing is
-    # created
+    # an unreadable config file or an output directory that cannot be made,
+    # given by --out-dir or by the config file, is named before any trial
+    # runs, with no traceback, and nothing is created
     def never(spec):
         raise AssertionError("run_experiment was called")
     monkeypatch.setattr(cli, "run_experiment", never)
-    out = tmp_path / "out"
+    under_file = case.endswith("out-dir-under-file")
+    out = tiny_config / "out" if under_file else tmp_path / "out"
     config = {"missing": tmp_path / "missing.cfg", "directory": tmp_path,
-              "non-utf8": tmp_path / "latin.cfg"}.get(case, tiny_config)
+              "non-utf8": tmp_path / "latin.cfg",
+              "file-out-dir-under-file": tmp_path / "out-dir.cfg"
+              }.get(case, tiny_config)
+    flags = ["--out-dir", str(out)]
     if case == "non-utf8":
         config.write_bytes(tiny_config.read_bytes() + b"# \xff\n")
-    elif case == "out-dir-under-file":
-        out = tiny_config / "out"
-    assert main(["simulate", str(config), "--out-dir", str(out)]) == 2
+    elif case == "file-out-dir-under-file":
+        config.write_text(tiny_config.read_text() + f"out_dir = {out}\n")
+        flags = []
+    assert main(["simulate", str(config), *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
-    assert str(config if case != "out-dir-under-file" else tiny_config) in err
+    assert str(tiny_config if under_file else config) in err
     assert not os.path.exists(out)
 
 
@@ -428,6 +436,16 @@ def test_simulate_takes_trial_flags(tiny_config, tmp_path, capsys):
     assert "completed 2 trials" in capsys.readouterr().out
 
 
+def run_python(code, *args):
+    """Standard output of `code` run with `args` in a fresh interpreter
+    that imports siamp from these sources."""
+    src = os.path.dirname(os.path.dirname(siamp.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          check=True, capture_output=True, text=True).stdout
+
+
 def test_simulate_leaves_numpy_ma_unloaded(tiny_config, tmp_path):
     # np.median imports numpy.ma (about 0.5 MB) on first use; a run takes
     # its median without it
@@ -435,13 +453,8 @@ def test_simulate_leaves_numpy_ma_unloaded(tiny_config, tmp_path):
             "from siamp.cli import main\n"
             "assert main(sys.argv[1:]) == 0\n"
             "print('numpy.ma' in sys.modules)\n")
-    src = os.path.dirname(os.path.dirname(siamp.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    out = subprocess.run([sys.executable, "-c", code, "simulate",
-                          str(tiny_config), "--out-dir", str(tmp_path)],
-                         env=env, check=True, capture_output=True,
-                         text=True).stdout
+    out = run_python(code, "simulate", str(tiny_config), "--out-dir",
+                     str(tmp_path))
     assert out.splitlines()[-1] == "False"
 
 
@@ -450,13 +463,34 @@ def test_runtime_imports_no_scipy():
     # no scipy module in a fresh interpreter
     code = ("import sys\n"
             "import siamp.cli\n"
-            "from siamp import spec_from_options\n"
+            "from siamp.experiment import spec_from_options\n"
             "spec_from_options({'preset': 'fig3-desk'})\n"
             "print(sorted(m for m in sys.modules\n"
             "             if m == 'scipy' or m.startswith('scipy.')))\n")
-    src = os.path.dirname(os.path.dirname(siamp.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert run_python(code).strip() == "[]"
+
+
+def test_import_siamp_loads_nothing():
+    # the package root holds its docstring and version only: every name is
+    # imported from the module that defines it
+    code = ("import sys\n"
+            "import siamp\n"
+            "print(sorted(m for m in sys.modules if m == 'numpy'\n"
+            "             or m.startswith(('numpy.', 'siamp.'))))\n")
+    assert run_python(code).strip() == "[]"
+
+
+@pytest.mark.parametrize("flag", [False, True], ids=["file", "flag"])
+def test_config_out_dir(flag, tiny_config, tmp_path):
+    # a config file's out_dir line sets where simulate writes, and
+    # --out-dir wins over it
+    from_file, from_flag = tmp_path / "from-file", tmp_path / "from-flag"
+    tiny_config.write_text(tiny_config.read_text()
+                           + f"out_dir = {from_file}\n")
+    argv = ["simulate", str(tiny_config), "--trials", "2"]
+    assert main(argv + (["--out-dir", str(from_flag)] if flag else [])) == 0
+    written, unused = ((from_flag, from_file) if flag
+                       else (from_file, from_flag))
+    for name in SIMULATE_OUTPUTS:
+        assert (written / name).exists()
+    assert not unused.exists()

@@ -5,10 +5,12 @@ import pytest
 
 from scipy.special import expit, logsumexp
 
-from siamp import (ACTIVE_BEFORE, ACTIVE_NOW, DenoiserParams, InvalidConfig,
-                   SideInfo, beta_from, case_log_likelihoods, case_priors,
-                   denoise_rows, draw_case_pair, log_odds_terms,
-                   oracle_posterior_mean, si_log_odds)
+from siamp.denoiser import (ACTIVE_BEFORE, ACTIVE_NOW, DenoiserParams,
+                            SideInfo, case_log_likelihoods, case_priors,
+                            denoise_rows, draw_case_pair, log_odds_terms,
+                            oracle_posterior_mean, si_log_odds)
+from siamp.errors import InvalidConfig
+from siamp.model import beta_from
 
 # parameter family of the response-curve examples
 FIG_FAMILY = dict(gamma=1e-8, tau=2e-6, lam=0.1, alpha=0.91, beta=0.01)

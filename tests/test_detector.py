@@ -6,13 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siamp import (BlockDetection, DenoiserParams, InvalidConfig, SideInfo,
-                   aggregate_slot_counts, beta_from, block_detection,
-                   compute_metrics, detect_block, detector, draw_case_pair,
-                   llr_appendix_oracle, run_trial_variants, si_log_odds,
-                   spec_from_options, sweep_block_counts)
-from siamp.denoiser import _row_norm_sq, log_odds_terms
-from siamp.experiment import detector_threshold_curve, trial_seed
+from siamp import detector
+from siamp.amp import run_trial_variants
+from siamp.denoiser import (DenoiserParams, SideInfo, _row_norm_sq,
+                            draw_case_pair, log_odds_terms, si_log_odds)
+from siamp.detector import (BlockDetection, aggregate_slot_counts,
+                            block_detection, compute_metrics, detect_block,
+                            llr_appendix_oracle, sweep_block_counts)
+from siamp.errors import InvalidConfig
+from siamp.experiment import (detector_threshold_curve, spec_from_options,
+                              trial_seed)
+from siamp.model import beta_from
 
 FIG_FAMILY = dict(gamma=1e-8, tau=2e-6, lam=0.1, alpha=0.91, beta=0.01)
 

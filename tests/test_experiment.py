@@ -14,13 +14,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from siamp import (NonFiniteState, ParseError, SiAmpError, ValidationError,
-                   emit_csv, parse_config, run_experiment, spec_from_options)
 from siamp import amp, experiment, model
+from siamp.errors import (NonFiniteState, ParseError, SiAmpError,
+                          ValidationError)
 from siamp.experiment import (_run_trial_counts, annulus_gains,
                               chained_se_traces, default_l_grid,
                               denoiser_response_curve,
-                              detector_threshold_curve, trial_seed)
+                              detector_threshold_curve, emit_csv, parse_config,
+                              run_experiment, spec_from_options, trial_seed)
 from siamp.streams import substream
 
 
@@ -85,6 +86,12 @@ class TestParseConfig:
         path.write_text("num_devices = 60\nbogus_key = 1\n")
         with pytest.raises(ParseError, match="bogus_key"):
             parse_config(path)
+
+    def test_out_dir_is_not_an_option(self):
+        # the output directory is the command line's: the CLI reads a
+        # config file's out_dir line itself, and a spec has none
+        with pytest.raises(ParseError, match="unknown key 'out_dir'"):
+            spec_from_options({"preset": "fig3-desk", "out_dir": "out"})
 
     @pytest.mark.parametrize("key, value", [
         ("amp_max_iters", "50"), ("amp_convergence_tol", "1e-6"),
@@ -643,7 +650,7 @@ def test_config_built_in_code_runs_cleanly_or_is_rejected(options, spread,
         path_losses=10.0 ** exponents, rng_seed=options["rng_seed"])
     runs_cleanly_or_is_rejected(lambda: experiment.ExperimentSpec(
         scenario=scenario, num_trials=options["num_trials"],
-        l_grid=np.linspace(-10.0, 10.0, 21), out_dir=None, parallelism=1,
+        l_grid=np.linspace(-10.0, 10.0, 21), parallelism=1,
         se_sample_count=options["se_sample_count"]))
 
 

@@ -3,11 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from siamp import (InvalidConfig, ScenarioConfig, beta_from,
-                   draw_pilot_matrix, generate_scenario, path_loss_linear,
-                   sample_activity_trace, synthesize_block)
-from siamp.errors import DimensionMismatch
-from siamp.model import DRAW_CHUNK, _complex_gaussian, draw_block_truth
+from siamp.errors import DimensionMismatch, InvalidConfig
+from siamp.model import (DRAW_CHUNK, ScenarioConfig, _complex_gaussian,
+                         beta_from, draw_block_truth, draw_pilot_matrix,
+                         generate_scenario, path_loss_linear,
+                         sample_activity_trace, synthesize_block)
 from siamp.streams import substream
 
 
@@ -243,7 +243,7 @@ class TestScenario:
         # a config built in code is held to the floor a config file is:
         # at gain/noise_variance = 1e-20 the gain rounds away in tau^2 +
         # gamma; the floor itself is admitted, the next double below not
-        from siamp import run_trial_variants
+        from siamp.amp import run_trial_variants
         from siamp.model import MIN_GAIN_TO_NOISE
         bad = desk_config(num_devices=60, path_losses=np.ones(60),
                           noise_variance=1e20)
@@ -263,7 +263,7 @@ class TestScenario:
     def test_gain_above_noise_ceiling_is_rejected(self):
         # at gain/noise_variance near 1e306 the log-odds overflow; 2^900 *
         # noise_variance is admitted and runs cleanly, the next double up not
-        from siamp import run_trial_variants
+        from siamp.amp import run_trial_variants
         from siamp.model import MAX_GAIN_TO_NOISE
         noise = 2.0 ** -800
         ceiling = MAX_GAIN_TO_NOISE * noise
@@ -310,7 +310,8 @@ class TestScenario:
 
     def test_trace_csv_roundtrip(self, tmp_path):
         import csv
-        from siamp import trace_table, write_tables
+        from siamp.experiment import write_tables
+        from siamp.model import trace_table
         scenario = generate_scenario(desk_config(num_blocks=2))
         path = write_tables(tmp_path, {"traces": trace_table(scenario)})["traces"]
         with open(path) as fh:

@@ -3,10 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from siamp import (InvalidConfig, SeParams, SeTrace, SideInfo, denoise_rows,
-                   draw_samples, se_fixed_point, se_step, si_log_odds,
-                   spec_from_options, state_evolution)
-from siamp.experiment import STREAM_SE_TRACE, chained_se_traces
+from siamp import state_evolution
+from siamp.denoiser import SideInfo, denoise_rows, si_log_odds
+from siamp.errors import InvalidConfig
+from siamp.experiment import (STREAM_SE_TRACE, chained_se_traces,
+                              spec_from_options)
+from siamp.state_evolution import (SeParams, SeTrace, draw_samples,
+                                   se_fixed_point, se_step)
 from siamp.streams import substream
 
 
@@ -190,7 +193,8 @@ def test_desk_preset_tau_matches_fixed_point():
     # the converged empirical noise level of a single desk-preset block
     # agrees with the fixed point at the tau (not tau^2) level
     from dataclasses import replace
-    from siamp import generate_scenario, run_block, spec_from_options
+    from siamp.amp import run_block
+    from siamp.model import generate_scenario
 
     scenario = replace(spec_from_options({"preset": "fig3-desk"}).scenario,
                        rng_seed=0, num_blocks=1)
