@@ -4,8 +4,7 @@ Subcommands
 -----------
 simulate        full Monte Carlo experiment, all CSV outputs
 se-trace        state-evolution fixed-point traces as CSV
-denoiser-curve  denoiser magnitude response grid as CSV
-detector-curve  energy-threshold-vs-previous-magnitude grid as CSV
+curves          denoiser response and energy-threshold grids as CSV
 dump-traces     ground-truth activity/channel dump of simulate's trial 0
 amp-trace       per-iteration tau/residual/change log of simulate's trial 0
 oracle-check    closed-form vs direct-posterior equivalence sweeps
@@ -103,38 +102,15 @@ def _cmd_se_trace(args) -> int:
     return 0
 
 
-def _curve_grid(flag: str, max_value: float, points: int) -> np.ndarray:
-    """`points` evenly spaced values from 0 to `max_value`, checked."""
-    if not 0.0 < max_value < np.inf:
-        raise InvalidConfig(f"{flag} must be positive and finite, "
-                            f"got {max_value}")
-    if points < 2:
-        raise InvalidConfig(f"--points must be at least 2, got {points}")
-    return np.linspace(0.0, max_value, points)
-
-
-def _cmd_denoiser_curve(args) -> int:
-    grid = _curve_grid("--max-input", args.max_input, args.points)
-    try:
-        prev = [float(v) for v in args.prev.split(",")]
-    except ValueError:
-        prev = [np.nan]
-    if not all(0.0 <= v < np.inf for v in prev):
-        raise InvalidConfig("--prev must be a comma list of finite "
-                            f"nonnegative magnitudes, got {args.prev!r}")
-    table = denoiser_response_curve(prev_magnitudes=prev, grid=grid, lam=0.1,
-                                    **_CURVE_DEFAULTS)
-    _print_paths(write_tables(args.out_dir, {"denoiser_curve": table}))
-    return 0
-
-
-def _cmd_detector_curve(args) -> int:
-    prev_grid = _curve_grid("--max-prev", args.max_prev, args.points)
-    if not np.isfinite(args.l):
-        raise InvalidConfig(f"--l must be finite, got {args.l}")
-    table, lower, upper = detector_threshold_curve(
-        l=args.l, prev_grid=prev_grid, **_CURVE_DEFAULTS)
-    _print_paths(write_tables(args.out_dir, {"threshold_curve": table}))
+def _cmd_curves(args) -> int:
+    grid = np.linspace(0.0, 2e-5, 501)
+    threshold_curve, lower, upper = detector_threshold_curve(
+        l=0.0, prev_grid=grid, **_CURVE_DEFAULTS)
+    _print_paths(write_tables(args.out_dir, {
+        "denoiser_curve": denoiser_response_curve(
+            prev_magnitudes=[1e-7, 1e-3], grid=grid, lam=0.1,
+            **_CURVE_DEFAULTS),
+        "threshold_curve": threshold_curve}))
     print(f"limits: lower={lower:.17g} upper={upper:.17g}")
     return 0
 
@@ -193,7 +169,7 @@ def _cmd_oracle_check(args) -> int:
         max_llr_err = max(max_llr_err, abs(llr - llr_ref) / max(abs(llr_ref), 1.0))
         l = float(rng.uniform(-10, 10))
         if abs(llr - l) > 1e-9:
-            # the energy threshold the detector-curve table publishes
+            # the energy threshold the threshold-curve table publishes
             (_, rows), _, _ = detector_threshold_curve(
                 gamma, tau, tau_prev, alpha, beta, m, l,
                 [np.linalg.norm(si.pseudo_obs)])
@@ -230,20 +206,9 @@ def main(argv=None) -> int:
         _add_common(p)
         p.set_defaults(fn=fn)
 
-    p = sub.add_parser("denoiser-curve")
-    p.add_argument("--prev", default="1e-7,1e-3",
-                   help="comma list of previous-block magnitudes")
-    p.add_argument("--max-input", type=float, default=2e-5)
-    p.add_argument("--points", type=int, default=501)
+    p = sub.add_parser("curves")
     p.add_argument("--out-dir", default=".")
-    p.set_defaults(fn=_cmd_denoiser_curve)
-
-    p = sub.add_parser("detector-curve")
-    p.add_argument("--l", type=float, default=0.0)
-    p.add_argument("--max-prev", type=float, default=2e-5)
-    p.add_argument("--points", type=int, default=501)
-    p.add_argument("--out-dir", default=".")
-    p.set_defaults(fn=_cmd_detector_curve)
+    p.set_defaults(fn=_cmd_curves)
 
     p = sub.add_parser("oracle-check")
     p.add_argument("--samples", type=int, default=2000)

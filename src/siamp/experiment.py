@@ -78,8 +78,10 @@ class ExperimentSpec:
         out = list(self.scenario.violations())
         out.append(count_violation("num_trials", self.num_trials, 1,
                                    "num_trials must be >= 1"))
-        grid = np.atleast_1d(self.l_grid)
-        if len(grid) == 0:
+        grid = np.asarray(self.l_grid)
+        if grid.ndim != 1:
+            out.append(f"l_grid must be 1-D, got shape {grid.shape}")
+        elif len(grid) == 0:
             out.append("l_grid must be nonempty")
         elif not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
             # per-trial rates are interpolated in l, which needs this order
@@ -280,14 +282,16 @@ def count_dtype(bound: int) -> np.dtype:
 def _run_trial_counts(args):
     """Worker: one trial, both variants, reduced to per-slot arrays keyed
     and shaped as in `AggregateResult.per_trial` without the trial axis.
-    Returns (index, {variant: arrays}, None), or (index, None, repr(exc))
-    if the trial raised a `SiAmpError`."""
+    Returns ({variant: arrays}, None), or (None, failure) if the trial
+    raised a `SiAmpError`, with failure its `AggregateResult.failures`
+    entry."""
     spec, index = args
     config = trial_config(spec.scenario, index)
     try:
         trials = run_trial_variants(config)
     except SiAmpError as exc:
-        return index, None, repr(exc)
+        return None, {"trial": index, "error_type": type(exc).__name__,
+                      "message": str(exc)}
     out = {}
     counts_dtype = count_dtype(config.num_devices)
     for trial in trials:
@@ -303,7 +307,7 @@ def _run_trial_counts(args):
                                    dtype=count_dtype(amp.MAX_ITERS)),
             "converged": np.array([block.converged for block in trial.blocks]),
         }
-    return index, out, None
+    return out, None
 
 
 @dataclass
@@ -330,7 +334,9 @@ class AggregateResult:
     se_traces: dict  # variant -> list[SeTrace] per slot
     per_trial: dict
     metadata: dict
-    failures: list  # (trial index, repr of its SiAmpError) per failed trial
+    # {"trial": index, "error_type": name, "message": str} per failed
+    # trial, in trial order, as metadata.json lists them
+    failures: list
 
     def p_md_per_trial(self, variant: str, slot: int,
                        target_p_fa: float) -> np.ndarray:
@@ -375,25 +381,33 @@ def run_experiment(spec: ExperimentSpec) -> AggregateResult:
     else:
         per_trial, failures = _collect_trials(spec, map(_run_trial_counts, jobs))
     if len(failures) > 0.1 * spec.num_trials:
+        reasons = "; ".join(f"trial {f['trial']}: {f['error_type']}: "
+                            f"{f['message']}" for f in failures[:3])
         raise SiAmpError(f"{len(failures)}/{spec.num_trials} trials failed: "
-                         f"{failures[:3]}")
+                         f"{reasons}")
 
+    trials_end = time.perf_counter()
     curves = {variant: [aggregate_slot_counts(data["fa"][:, j], data["md"][:, j],
                                               data["n_inactive"][:, j],
                                               data["n_active"][:, j], spec.l_grid)
                         for j in range(spec.scenario.num_blocks)]
               for variant, data in per_trial.items()}
+    aggregation_end = time.perf_counter()
     se_traces = chained_se_traces(spec)
+    se_end = time.perf_counter()
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     metadata = {
         "seed": spec.scenario.rng_seed,
         "version": __version__,
         "wall_time_s": time.perf_counter() - start,
+        # emit_csv adds its own "csv" phase and time to both
+        "phase_s": {"trials": trials_end - start,
+                    "aggregation": aggregation_end - trials_end,
+                    "state_evolution": se_end - aggregation_end},
         "num_trials": spec.num_trials,
         "completed_trials": spec.num_trials - len(failures),
         "failed_trials": len(failures),
-        "failures": [{"trial": index, "error": error}
-                     for index, error in failures],
+        "failures": failures,
         "parallelism": spec.parallelism,
         "variants": list(VARIANTS),
         # the stopping rule every block's estimate, and so every CSV built
@@ -422,9 +436,9 @@ def _collect_trials(spec: ExperimentSpec, outcomes):
     trial; per_trial holds views of the rows filled.
     """
     per_trial, failures, done = {}, [], 0
-    for index, payload, error in outcomes:
-        if error is not None:
-            failures.append((index, error))
+    for payload, failure in outcomes:
+        if failure is not None:
+            failures.append(failure)
             continue
         if not per_trial:
             per_trial = {variant: {
@@ -613,8 +627,11 @@ def emit_csv(result: AggregateResult, out_dir) -> dict:
 
     The CSV bytes are deterministic functions of (spec, seed) at one BLAS
     thread per process; at more, nmse.csv can differ in the last bits.
-    Wall time and other run-dependent facts live only in metadata.json.
+    Wall time and other run-dependent facts live only in metadata.json,
+    whose `wall_time_s` and `phase_s` include the time spent here on
+    the CSVs.
     """
+    start = time.perf_counter()
     # response/threshold grids at the experiment's own operating point:
     # median channel gain and the converged slot-1 noise level
     scenario = result.spec.scenario
@@ -637,7 +654,11 @@ def emit_csv(result: AggregateResult, out_dir) -> dict:
             **curve_kw),
         "threshold_curve": threshold_curve,
     })
+    csv_s = time.perf_counter() - start
+    metadata = dict(result.metadata,
+                    wall_time_s=result.metadata["wall_time_s"] + csv_s,
+                    phase_s=dict(result.metadata["phase_s"], csv=csv_s))
     paths["metadata"] = os.path.join(out_dir, "metadata.json")
     with open(paths["metadata"], "w") as fh:
-        json.dump(result.metadata, fh, indent=2)
+        json.dump(metadata, fh, indent=2)
     return paths

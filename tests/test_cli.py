@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import re
 import subprocess
@@ -85,23 +86,39 @@ def test_se_trace_subcommand(tiny_config, tmp_path):
 
 
 def test_denoiser_curve(tmp_path):
-    assert main(["denoiser-curve", "--out-dir", str(tmp_path),
-                 "--points", "50"]) == 0
+    assert main(["curves", "--out-dir", str(tmp_path)]) == 0
     with open(tmp_path / "denoiser_curve.csv") as fh:
         rows = list(csv.DictReader(fh))
-    variants = {r["variant"] for r in rows}
-    assert variants == {"si", "nosi"}
-    assert len(rows) == 3 * 50  # nosi plus the two default SI magnitudes
+    # nosi, then the SI magnitudes 1e-7 and 1e-3, each on one 501-point grid
+    assert [(r["variant"], float(r["prev_abs"])) for r in rows[::501]] == [
+        ("nosi", 0.0), ("si", 1e-7), ("si", 1e-3)]
+    assert len(rows) == 3 * 501
 
 
 def test_detector_curve(tmp_path, capsys):
-    assert main(["detector-curve", "--out-dir", str(tmp_path),
-                 "--points", "40"]) == 0
+    assert main(["curves", "--out-dir", str(tmp_path)]) == 0
     with open(tmp_path / "threshold_curve.csv") as fh:
         rows = list(csv.DictReader(fh))
+    assert len(rows) == 501
     values = np.array([float(r["threshold_si"]) for r in rows])
-    assert np.all(np.diff(values) <= 1e-25)
-    assert "limits:" in capsys.readouterr().out
+    assert np.all(np.diff(values) <= 0)
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "limits: lower=1.3259647435722055e-11 upper=4.0905720560629837e-11")
+
+
+@pytest.mark.parametrize("argv", [
+    ["curves", "--points", "5"],
+    # the two commands `curves` replaced
+    ["denoiser-curve"],
+    ["detector-curve"],
+], ids=lambda argv: " ".join(argv))
+def test_curves_take_no_tuning_flags(argv, tmp_path, capsys):
+    # the curves plot one example family on one grid: a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_dump_traces(tiny_config, tmp_path):
@@ -192,25 +209,15 @@ def test_oracle_check_passes(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["denoiser-curve", "--prev", "foo"],
-    ["denoiser-curve", "--prev", "1e-7,nan"],
-    ["denoiser-curve", "--points", "0"],
-    ["denoiser-curve", "--max-input", "nan"],
-    ["detector-curve", "--points", "-1"],
-    ["detector-curve", "--points", "0"],
-    ["detector-curve", "--max-prev", "nan"],
-    ["detector-curve", "--l", "nan"],
     ["oracle-check", "--samples", "0"],
     ["oracle-check", "--seed", "-1"],
 ], ids=lambda argv: " ".join(argv))
-def test_bad_flag_is_error(argv, tmp_path, capsys):
-    # rejected before any output is written, with a one-line reason
-    out = ["--out-dir", str(tmp_path)] if argv[0] != "oracle-check" else []
-    assert main(argv + out) == 2
+def test_bad_flag_is_error(argv, capsys):
+    # rejected before any sample is drawn, with a one-line reason
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert "PASS" not in captured.out
-    assert os.listdir(tmp_path) == []
 
 
 def test_missing_config_is_error(capsys):
@@ -391,15 +398,31 @@ def test_os_error_is_error(tiny_config, tmp_path, capsys, monkeypatch):
 def test_failed_trials_are_error(tiny_config, tmp_path, capsys, monkeypatch):
     # more than 10% of the trials failed: the run stops with the reason
     # and writes nothing
+    run = experiment.run_trial_variants
+
     def failing(config):
         raise NonFiniteState("diverged")
     monkeypatch.setattr(experiment, "run_trial_variants", failing)
     out = tmp_path / "out"
     assert main(["simulate", str(tiny_config), "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: 3/3 trials failed")
-    assert "diverged" in err
+    assert err.startswith("error: 3/3 trials failed: trial 0: "
+                          "NonFiniteState: diverged; trial 1: ")
     assert not out.exists()
+
+    # one failure in ten is recorded in metadata.json, with the trial
+    # index, the exception type and the message apart
+    def one_failing(config):
+        if config.rng_seed == experiment.trial_seed(5, 1):
+            raise NonFiniteState("diverged")
+        return run(config)
+    monkeypatch.setattr(experiment, "run_trial_variants", one_failing)
+    assert main(["simulate", str(tiny_config), "--trials", "10",
+                 "--out-dir", str(out)]) == 0
+    with open(out / "metadata.json") as fh:
+        assert json.load(fh)["failures"] == [{
+            "trial": 1, "error_type": "NonFiniteState",
+            "message": "diverged"}]
 
 
 def test_preset_flag(tmp_path):

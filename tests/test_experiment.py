@@ -199,9 +199,15 @@ class TestParseConfig:
                             strict=True):
                 np.testing.assert_array_equal(a.p_md, b.p_md)
 
-    @pytest.mark.parametrize("grid", ["20:-20:81", "0,nan"])
+    @pytest.mark.parametrize("grid", [
+        "20:-20:81", "0,nan",
+        # values built in code: the grid must be one row of levels
+        pytest.param([[0, 1], [2, 3]], id="2-D"),
+        pytest.param(0.5, id="scalar"),
+    ])
     def test_unordered_or_nonfinite_l_grid_rejected(self, grid):
-        # per-trial rates are interpolated in l, which needs an increasing grid
+        # per-trial rates are interpolated in l, which needs an increasing
+        # 1-D grid
         with pytest.raises(ValidationError) as exc:
             spec_from_options(desk_options(l_grid=grid))
         assert any("l_grid" in v for v in exc.value.violations)
@@ -269,8 +275,8 @@ class TestRunExperiment:
         counted(amp, "run_blocks")
         counted(experiment, "sweep_block_counts")
         spec = spec_from_options(desk_options(num_blocks="3"))
-        index, out, error = _run_trial_counts((spec, 0))
-        assert index == 0 and error is None and set(out) == set(spec.variants)
+        out, error = _run_trial_counts((spec, 0))
+        assert error is None and set(out) == set(spec.variants)
         assert calls["generate_scenario"] == 1
         assert calls["run_trial"] == len(spec.variants)
         # block 1 has no side information under either variant, so it is
@@ -349,16 +355,15 @@ class TestRunExperiment:
         spec = spec_from_options(desk_options(num_trials="10"))
         result = run_experiment(spec)
         monkeypatch.undo()
-        assert len(result.failures) == 1
-        index, message = result.failures[0]
-        assert index == 1 and "diverged" in message
+        assert result.failures == [{"trial": 1,
+                                    "error_type": "NonFiniteState",
+                                    "message": "diverged"}]
         # metadata.json gives the reason of every failed trial
         with open(emit_csv(result, tmp_path)["metadata"]) as fh:
-            assert json.load(fh)["failures"] == [{"trial": 1,
-                                                  "error": message}]
+            assert json.load(fh)["failures"] == result.failures
         assert result.metadata["completed_trials"] == 9
         # the completed trials fill the rows in trial order, trial 1 skipped
-        expected = [_run_trial_counts((spec, i))[1] for i in range(10) if i != 1]
+        expected = [_run_trial_counts((spec, i))[0] for i in range(10) if i != 1]
         for variant in result.spec.variants:
             assert result.per_trial[variant]["nmse"].shape[0] == 9
             assert result.curves[variant][0].num_trials == 9
@@ -424,6 +429,12 @@ class TestRunExperiment:
             var: os.environ.get(var) for var in (
                 "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
         assert metadata["cpu_count"] == os.cpu_count()
+        # the wall time of each phase, within the run's
+        phases = metadata["phase_s"]
+        assert set(phases) == {"trials", "aggregation", "state_evolution",
+                               "csv"}
+        assert all(value >= 0 for value in phases.values())
+        assert sum(phases.values()) <= metadata["wall_time_s"]
 
 
 @pytest.mark.parametrize("bound, dtype", [
